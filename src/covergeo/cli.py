@@ -99,6 +99,10 @@ def build_parser() -> argparse.ArgumentParser:
 
 
 def cmd_resolve(args) -> int:
+    if args.depth_limit < 0:
+        print(f"covergeo resolve: --depth-limit must be >= 0, got {args.depth_limit}",
+              file=sys.stderr)
+        return USAGE_ERROR
     try:
         field = parse_field_spec(args.field)
         poly = parse_polynomial(args.germ, field)

@@ -52,11 +52,6 @@ def bmy_char0_check(inv: SurfaceInvariants) -> bool:
     return 3 * inv.c2 >= inv.K2
 
 
-def noether_ineq_char0_check(inv: SurfaceInvariants) -> bool:
-    """Classical char-0 consequence 5 c1^2 - c2 + 36 >= 0 (reference only)."""
-    return 5 * inv.K2 - inv.c2 + 36 >= 0
-
-
 def kappa_conjectural(p: int) -> Fraction:
     if p < 5 or not is_prime(p):
         raise ValueError("the conjectural value is stated for primes p >= 5")

@@ -168,9 +168,21 @@ def blowup_once(germ: BranchGerm, multiplicity: int | None = None, *,
     branch of the normalized pulled-back cover in each, and the singular
     points of that branch on the exceptional line, re-centered and ready for
     further blow-ups.
+
+    The germ is checked to be reduced here (ValueError otherwise); the sites
+    returned are reduced again, so blowing them up needs no new check.
     """
+    _require_reduced(germ.poly)
+    return _blowup(germ, multiplicity, point_order)
+
+
+def _blowup(germ: BranchGerm, multiplicity: int | None,
+            point_order: str) -> BlowupResult:
+    # The germ is reduced.  So is each branch built here: x does not divide
+    # strict_x (its restriction to x = 0 is the nonzero tangent cone), the
+    # same holds for t and strict_t, and translating or extending the field
+    # (all fields here are perfect) keeps a polynomial squarefree.
     poly = germ.poly
-    _require_reduced(poly)
     m = poly.total_valuation()
     if multiplicity is not None and multiplicity != m:
         raise ValueError(f"stated multiplicity {multiplicity} != actual {m}")
@@ -288,7 +300,8 @@ def canonical_resolution(germ: BranchGerm, *, depth_limit: int = DEFAULT_DEPTH_L
     The branch is normalized first; blow-ups then continue until the branch
     divisor is regular above the origin.  Point choice is deterministic
     (chart "x" points in coordinate order, then the chart "t" origin, depth
-    first); totals do not depend on the order.
+    first); totals do not depend on the order.  Reducedness is established
+    once, by normalization; blow-ups keep it, so it is not checked again.
     """
     b1, b0 = normalize_branch(germ)
     steps: list[BlowupStep] = []
@@ -299,7 +312,7 @@ def canonical_resolution(germ: BranchGerm, *, depth_limit: int = DEFAULT_DEPTH_L
         and poly.eval_origin() == poly.field.zero
         and poly.total_valuation() >= 2
     ):
-        negligible = is_negligible(b1, depth_limit=depth_limit)
+        negligible = _classify(poly, depth_limit)
         _resolve(b1, "origin", 1, steps, depth_limit, point_order)
     xi = sum(s.copies * s.chi_drop_each for s in steps)
     k2 = sum(s.copies * s.k2_drop_each for s in steps)
@@ -322,7 +335,7 @@ def _resolve(germ: BranchGerm, center: str, copies: int,
         raise ResolutionDepthError(
             f"resolution depth exceeded ({depth_limit} blow-ups)"
         )
-    result = blowup_once(germ, point_order=point_order)
+    result = _blowup(germ, None, point_order)
     steps.append(
         BlowupStep(
             index=len(steps),
@@ -355,9 +368,16 @@ _INF = 10**9  # sentinel contact for a branch equal to the reference line
 def is_negligible(germ: BranchGerm, *, depth_limit: int = DEFAULT_DEPTH_LIMIT) -> str:
     """Classify the germ: union of two smooth branches (first kind), union of
     three smooth branches not all mutually tangent (second kind), or neither.
+
+    The germ must be reduced; this is checked here (ValueError otherwise).
     """
-    poly = germ.poly
-    _require_reduced(poly)
+    _require_reduced(germ.poly)
+    return _classify(germ.poly, depth_limit)
+
+
+def _classify(poly: BPoly, depth_limit: int) -> str:
+    # poly is reduced: is_negligible checks it, canonical_resolution gets it
+    # from normalize_branch
     if poly.is_constant() or poly.eval_origin() != poly.field.zero:
         return NOT_NEGLIGIBLE
     m = poly.total_valuation()

@@ -61,6 +61,14 @@ def test_resolve_depth_guard_exit_1():
     assert "depth exceeded" in err
 
 
+def test_resolve_negative_depth_limit_exit_2():
+    code, out, err = run_cli(["resolve", "x^2 - t^3", "--field", "F5",
+                              "--depth-limit", "-1"])
+    assert code == 2
+    assert out == ""
+    assert err.count("\n") == 1 and "--depth-limit" in err
+
+
 def test_usage_error_exit_2():
     code, _, _ = run_cli(["frobnicate"])
     assert code == 2

@@ -1,10 +1,11 @@
 import math
+import random
 
 import pytest
 
 from covergeo.fields import QQ, prime_field
 from covergeo.parsing import parse_field_spec, parse_polynomial
-from covergeo.polynomials import BPoly
+from covergeo.polynomials import BPoly, b_squarefree
 from covergeo.resolution import (
     NEGLIGIBLE_FIRST,
     NEGLIGIBLE_SECOND,
@@ -265,6 +266,72 @@ def test_all_tangent_triple_has_positive_xi():
 def test_is_negligible_requires_reduced():
     with pytest.raises(ValueError, match="reduced"):
         is_negligible(germ("x^2*t"))
+
+
+# -- reducedness is kept by blow-ups -------------------------------------------
+#
+# canonical_resolution checks reducedness only through normalize_branch; the
+# blow-ups inside it rely on strict transforms, exceptional lines, translations
+# and field extensions keeping a reduced germ reduced.  These tests walk the
+# blow-up tree of seeded random germs and check every re-centred germ.
+
+def _random_reduced_germ(rng, fld):
+    """Normalized branch of a seeded product of factors x^m + c t^n (+ d x t
+    over F_q), some squared, of total degree at most 8; None if it is
+    regular at the origin."""
+    if fld.char == 0:
+        coef = lambda: fld.from_int(rng.choice([-3, -2, -1, 1, 2, 3]))  # noqa: E731
+    else:
+        coef = lambda: fld.decode(rng.randrange(1, fld.order))  # noqa: E731
+    poly = BPoly.constant(fld, fld.one)
+    for _ in range(rng.randint(1, 3)):
+        m, n = rng.randint(1, 3), rng.randint(1, 4)
+        if fld.char == 0 and math.gcd(m, n) != 1:
+            n += 1  # coprime exponents keep the singular points rational
+        factor = BPoly(fld, {(m, 0): fld.one, (0, n): coef()})
+        if fld.char and rng.random() < 0.5:
+            factor = factor + BPoly(fld, {(1, 1): coef()})
+        for _ in range(rng.choice([1, 1, 2])):
+            if _degree(poly) + _degree(factor) <= 8:
+                poly = poly * factor
+    b1, _ = normalize_branch(BranchGerm(poly))
+    if b1.poly.eval_origin() != fld.zero or b1.poly.total_valuation() < 2:
+        return None
+    return b1
+
+
+def _degree(poly):
+    return max(i + j for i, j in poly.terms)
+
+
+def _is_reduced(poly):
+    return all(e == 1 for _, e in b_squarefree(poly))
+
+
+def _walk_sites(germ_, depth):
+    """Blow up the germ and every singular site above it; returns the number
+    of re-centred germs seen, asserting that each is reduced."""
+    assert depth < 64
+    seen = 0
+    for site in blowup_once(germ_).singular_sites:
+        assert _is_reduced(site.germ.poly), (germ_.fmt(), site.location)
+        seen += 1 + _walk_sites(site.germ, depth + 1)
+    return seen
+
+
+@pytest.mark.parametrize("spec", ["Q", "F5", "F7", "F5^2"])
+def test_blowups_keep_random_germs_reduced(spec):
+    fld = parse_field_spec(spec)
+    rng = random.Random(f"reduced-{spec}")
+    germs = sites = 0
+    while germs < 12:
+        b1 = _random_reduced_germ(rng, fld)
+        if b1 is None:
+            continue
+        assert _is_reduced(b1.poly)
+        sites += _walk_sites(b1, 0)
+        germs += 1
+    assert sites > 0
 
 
 # -- invariants and properties ------------------------------------------------
