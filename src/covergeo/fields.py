@@ -37,16 +37,16 @@ def primes_between(lo: int, hi: int) -> list[int]:
 
 
 def rational_arith(a: Fraction, b: Fraction, op: str) -> Fraction:
-    """Apply one exact rational operation; op is one of + - * / (unicode
-    variants accepted).  Division by zero raises ZeroDivisionError."""
+    """Apply one exact rational operation; op is one of + - * /.  Division
+    by zero raises ZeroDivisionError."""
     a, b = Fraction(a), Fraction(b)
-    if op in ("+",):
+    if op == "+":
         return a + b
-    if op in ("-", "−"):
+    if op == "-":
         return a - b
-    if op in ("*", "×"):
+    if op == "*":
         return a * b
-    if op in ("/", "÷"):
+    if op == "/":
         if b == 0:
             raise ZeroDivisionError("rational division by zero")
         return a / b

@@ -12,7 +12,6 @@ sign-aware squaring.
 
 from __future__ import annotations
 
-import json
 from dataclasses import dataclass
 from fractions import Fraction
 
@@ -245,27 +244,3 @@ def delta_degree(g: int, p: int) -> Fraction:
 
 def kappa_table(p_min: int, p_max: int) -> list[KappaReport]:
     return [kappa_report(p) for p in primes_between(max(p_min, 3), p_max)]
-
-
-def invariants_to_json(inv: SurfaceInvariants) -> str:
-    """Canonical JSON for an invariant record, same style as datum files."""
-    data = {"p": inv.p, "K2": inv.K2, "c2": inv.c2, "chi": inv.chi}
-    for key in ("q", "g", "p_g", "irregularity"):
-        value = getattr(inv, key)
-        if value is not None:
-            data[key] = value
-    return json.dumps(data, indent=2) + "\n"
-
-
-def invariants_from_json(text: str) -> SurfaceInvariants:
-    data = json.loads(text)
-    return SurfaceInvariants(
-        p=int(data["p"]),
-        K2=int(data["K2"]),
-        c2=int(data["c2"]),
-        chi=int(data["chi"]),
-        q=data.get("q"),
-        g=data.get("g"),
-        p_g=data.get("p_g"),
-        irregularity=data.get("irregularity"),
-    )

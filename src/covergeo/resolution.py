@@ -25,7 +25,6 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 
-from .fields import QQ
 from .polynomials import (
     BPoly,
     UPoly,
@@ -100,8 +99,7 @@ def normalize_branch(germ: BranchGerm) -> tuple[BranchGerm, BranchGerm]:
 
 @dataclass(frozen=True)
 class BlowupChart:
-    name: str  # "x" or "t"
-    substitution: str
+    name: str  # "x" (x = x, t = x*t) or "t" (x = x*t, t = t)
     strict: BPoly
     branch: BPoly
 
@@ -200,10 +198,8 @@ def _blowup(germ: BranchGerm, multiplicity: int | None,
     if parity:
         branch_t = branch_t * BPoly.var_t(fld)
 
-    charts = (
-        BlowupChart("x", "x=x, t=x*t", strict_x, branch_x),
-        BlowupChart("t", "x=x*t, t=t", strict_t, branch_t),
-    )
+    charts = (BlowupChart("x", strict_x, branch_x),
+              BlowupChart("t", strict_t, branch_t))
     sites = _sites_on_exceptional(strict_x, branch_x, branch_t)
     if point_order == "reversed":
         sites = tuple(reversed(sites))
@@ -229,68 +225,60 @@ def _sites_on_exceptional(strict_x: BPoly, branch_x: BPoly,
     """
     fld = strict_x.field
     sites: list[SingularSite] = []
-    restriction = strict_x.restrict_x0()  # never zero: x does not divide strict_x
-    if fld.char == 0:
-        sites.extend(_rational_sites(restriction, branch_x))
-    else:
-        sites.extend(_finite_field_sites(restriction, branch_x))
-    # origin of chart "t" = the one direction chart "x" misses
-    if branch_t.eval_origin() == fld.zero:
-        mult = branch_t.total_valuation()
+    for local, big, tau, copies in _line_points(strict_x, branch_x):
+        # simple irrational points over Q (local None) are regular
+        mult = 0 if local is None else local.total_valuation()
         if mult >= 2:
-            sites.append(
-                SingularSite("t", "0", BranchGerm(branch_t), mult, 1)
-            )
+            label = fld.fmt(tau) if big is fld else f"{big.fmt(tau)} in {big.name}"
+            sites.append(SingularSite("x", label, BranchGerm(local), mult, copies))
+    # origin of chart "t" = the one direction chart "x" misses
+    mult = branch_t.total_valuation()
+    if mult >= 2:
+        sites.append(SingularSite("t", "0", BranchGerm(branch_t), mult, 1))
     return sites
 
 
-def _finite_field_sites(restriction: UPoly, branch: BPoly) -> list[SingularSite]:
-    fld = branch.field
-    sites = []
+def _line_points(strict_x: BPoly, poly: BPoly):
+    """Points of ``strict_x`` on the exceptional line x = 0 of chart "x",
+    one per orbit of conjugates.
+
+    Yields ``(local, field, tau, copies)``: ``poly`` re-centred at t = tau
+    over ``field``, the smallest field containing tau, and the orbit size.
+    Over Q the simple irrational points come first, together, as
+    ``(None, QQ, None, count)``; an irrational point that is multiple, or
+    that lies on a ``poly`` containing the line, raises IrrationalPointError.
+    """
+    fld = strict_x.field
+    restriction = strict_x.restrict_x0()  # never zero: x does not divide strict_x
+    if fld.char == 0:
+        roots, cofactor = u_rational_roots(restriction)
+        if not cofactor.is_constant():
+            if poly.x_valuation() > 0:
+                # every intersection with the line is singular, including
+                # the irrational ones we cannot re-center over Q
+                raise IrrationalPointError(
+                    "singular point with irrational coordinates; rerun over a "
+                    "finite field, extensions of Q are not supported"
+                )
+            if not ugcd(cofactor, cofactor.deriv()).is_constant():
+                raise IrrationalPointError(
+                    "multiple branch point with irrational coordinates; rerun "
+                    "over a finite field, extensions of Q are not supported"
+                )
+            yield None, fld, None, cofactor.degree
+        for tau, _ in roots:
+            yield poly.translate_t(tau), fld, tau, 1
+        return
     _, factors = u_factor(restriction)
-    for irr, _mult in factors:
+    for irr, _ in factors:
         if irr.degree == 1:
             tau = fld.neg(irr.coeffs[0])
-            local = branch.translate_t(tau)
-            copies = 1
-            label = fld.fmt(tau)
+            yield poly.translate_t(tau), fld, tau, 1
         else:
             big = splitting_extension(fld, irr.degree)
             embed = extension_embedding(fld, big)
-            irr_big = UPoly(big, [embed(c) for c in irr.coeffs])
-            tau = u_roots(irr_big)[0]
-            local = branch.map_to(big, embed).translate_t(tau)
-            copies = irr.degree
-            label = f"{big.fmt(tau)} in {big.name}"
-        mult = 0 if local.eval_origin() != local.field.zero else local.total_valuation()
-        if mult >= 2:
-            sites.append(SingularSite("x", label, BranchGerm(local), mult, copies))
-    return sites
-
-
-def _rational_sites(restriction: UPoly, branch: BPoly) -> list[SingularSite]:
-    roots, cofactor = u_rational_roots(restriction)
-    exceptional_in_branch = branch.x_valuation() > 0
-    if not cofactor.is_constant():
-        if exceptional_in_branch:
-            # every intersection with the line is singular, including the
-            # irrational ones we cannot re-center over Q
-            raise IrrationalPointError(
-                "singular point with irrational coordinates; rerun over a "
-                "finite field, extensions of Q are not supported"
-            )
-        if not ugcd(cofactor, cofactor.deriv()).is_constant():
-            raise IrrationalPointError(
-                "multiple branch point with irrational coordinates; rerun "
-                "over a finite field, extensions of Q are not supported"
-            )
-    sites = []
-    for tau, _mult in roots:
-        local = branch.translate_t(tau)
-        mult = 0 if local.eval_origin() != QQ.zero else local.total_valuation()
-        if mult >= 2:
-            sites.append(SingularSite("x", str(tau), BranchGerm(local), mult, 1))
-    return sites
+            tau = u_roots(UPoly(big, [embed(c) for c in irr.coeffs]))[0]
+            yield poly.map_to(big, embed).translate_t(tau), big, tau, irr.degree
 
 
 def canonical_resolution(germ: BranchGerm, *, depth_limit: int = DEFAULT_DEPTH_LIMIT,
@@ -302,18 +290,37 @@ def canonical_resolution(germ: BranchGerm, *, depth_limit: int = DEFAULT_DEPTH_L
     (chart "x" points in coordinate order, then the chart "t" origin, depth
     first); totals do not depend on the order.  Reducedness is established
     once, by normalization; blow-ups keep it, so it is not checked again.
+
+    Both walks of the blow-up tree run from explicit stacks, so the only
+    limit on their depth is ``depth_limit``: at most that many blow-ups,
+    and at most that many germs visited by the negligible classification
+    (ResolutionDepthError beyond either).
     """
     b1, b0 = normalize_branch(germ)
     steps: list[BlowupStep] = []
-    poly = b1.poly
     negligible = NOT_NEGLIGIBLE
-    if (
-        not poly.is_constant()
-        and poly.eval_origin() == poly.field.zero
-        and poly.total_valuation() >= 2
-    ):
-        negligible = _classify(poly, depth_limit)
-        _resolve(b1, "origin", 1, steps, depth_limit, point_order)
+    if b1.poly.total_valuation() >= 2:
+        negligible = _classify(b1.poly, depth_limit)
+        stack = [(b1, "origin", 1)]
+        while stack:
+            current, center, copies = stack.pop()
+            if len(steps) >= depth_limit:
+                raise ResolutionDepthError(
+                    f"resolution depth exceeded ({depth_limit} blow-ups)"
+                )
+            result = _blowup(current, None, point_order)
+            steps.append(BlowupStep(
+                index=len(steps),
+                center=center,
+                multiplicity=result.multiplicity,
+                half=result.half,
+                copies=copies,
+                chart_branches=tuple(c.branch.fmt() for c in result.charts),
+            ))
+            # pushed in reverse, so the sites are blown up depth first in order
+            for site in reversed(result.singular_sites):
+                label = f"{center} -> chart {site.chart} @ {site.location}"
+                stack.append((site.germ, label, copies * site.copies))
     xi = sum(s.copies * s.chi_drop_each for s in steps)
     k2 = sum(s.copies * s.k2_drop_each for s in steps)
     return ResolutionTrace(
@@ -329,40 +336,17 @@ def canonical_resolution(germ: BranchGerm, *, depth_limit: int = DEFAULT_DEPTH_L
     )
 
 
-def _resolve(germ: BranchGerm, center: str, copies: int,
-             steps: list[BlowupStep], depth_limit: int, point_order: str) -> None:
-    if len(steps) >= depth_limit:
-        raise ResolutionDepthError(
-            f"resolution depth exceeded ({depth_limit} blow-ups)"
-        )
-    result = _blowup(germ, None, point_order)
-    steps.append(
-        BlowupStep(
-            index=len(steps),
-            center=center,
-            multiplicity=result.multiplicity,
-            half=result.half,
-            copies=copies,
-            chart_branches=tuple(c.branch.fmt() for c in result.charts),
-        )
-    )
-    for site in result.singular_sites:
-        label = f"{center} -> chart {site.chart} @ {site.location}"
-        _resolve(site.germ, label, copies * site.copies, steps, depth_limit,
-                 point_order)
-
-
 # ---------------------------------------------------------------------------
-# Negligible singularity classification via formal branch analysis.
+# Negligible singularity classification via formal branch counting.
 #
 # A reduced germ is split into formal branches by following strict transforms
-# through blow-ups.  For each branch we compute its intersection numbers with
-# the two coordinate lines; the minimum of the two is the multiplicity of the
-# branch at the origin (some coordinate line is transversal to it), so the
-# branch is smooth iff that minimum is 1.  Tangent directions come from the
-# position of the branch on the first exceptional line.
-
-_INF = 10**9  # sentinel contact for a branch equal to the reference line
+# through blow-ups, from an explicit stack: a factor x or t is one smooth
+# branch, a germ of multiplicity 1 is one smooth branch, and a singular germ
+# hands its points on the exceptional line on to the next blow-up.  A germ of
+# multiplicity m is a union of m smooth branches iff it has exactly m formal
+# branches.  Each branch keeps the tangent direction it had at the origin, as
+# a point of the first exceptional line; a conjugate orbit is walked once and
+# its branches counted once per conjugate.
 
 
 def is_negligible(germ: BranchGerm, *, depth_limit: int = DEFAULT_DEPTH_LIMIT) -> str:
@@ -370,6 +354,8 @@ def is_negligible(germ: BranchGerm, *, depth_limit: int = DEFAULT_DEPTH_LIMIT) -
     three smooth branches not all mutually tangent (second kind), or neither.
 
     The germ must be reduced; this is checked here (ValueError otherwise).
+    The branches are counted by a walk that visits at most ``depth_limit``
+    germs (ResolutionDepthError beyond).
     """
     _require_reduced(germ.poly)
     return _classify(germ.poly, depth_limit)
@@ -378,114 +364,72 @@ def is_negligible(germ: BranchGerm, *, depth_limit: int = DEFAULT_DEPTH_LIMIT) -
 def _classify(poly: BPoly, depth_limit: int) -> str:
     # poly is reduced: is_negligible checks it, canonical_resolution gets it
     # from normalize_branch
-    if poly.is_constant() or poly.eval_origin() != poly.field.zero:
-        return NOT_NEGLIGIBLE
     m = poly.total_valuation()
     if m not in (2, 3):
         return NOT_NEGLIGIBLE
-    branches = _axis_contacts(poly, [depth_limit])
-    if len(branches) != m:
+    directions = _branch_directions(poly, depth_limit)
+    if len(directions) != m:
         return NOT_NEGLIGIBLE  # some branch is singular
     if m == 2:
         return NEGLIGIBLE_FIRST
-    directions = {d for _, _, d in branches}
-    return NEGLIGIBLE_SECOND if len(directions) >= 2 else NOT_NEGLIGIBLE
+    return NEGLIGIBLE_SECOND if len(set(directions)) >= 2 else NOT_NEGLIGIBLE
 
 
-def _axis_contacts(poly: BPoly, budget: list[int]) -> list[tuple[int, int, tuple]]:
-    """Formal branches of a reduced germ through the origin.
-
-    Returns one record (cx, ct, direction) per branch, where cx and ct are
-    the intersection numbers with the lines {x = 0} and {t = 0} (the sentinel
-    _INF when the branch is that line), and direction tags the tangent
-    direction as a point of the first exceptional line.
-    """
-    if budget[0] <= 0:
-        raise ResolutionDepthError("branch analysis depth exceeded")
-    budget[0] -= 1
-    fld = poly.field
-    out: list[tuple[int, int, tuple]] = []
-    a = poly.x_valuation()
-    b = poly.t_valuation()
-    w = poly
-    if a:
-        w = w.divide_x_power(a)
-        out.append((_INF, 1, ("inf",)))
-    if b:
-        w = w.divide_t_power(b)
-        out.append((1, _INF, ("fin", fld.name, 0, 0)))
-    if w.is_constant() or w.eval_origin() != fld.zero:
-        return out
-    m = w.total_valuation()
-    if m == 1:
-        cx = w.restrict_x0().valuation()
-        ct = w.restrict_t0().valuation()
-        out.append((cx, ct, _smooth_direction(w, cx, ct)))
-        return out
-    strict_x = w.subst_x_xt().divide_x_power(m)
-    strict_t = w.subst_xt_t().divide_t_power(m)
-    restriction = strict_x.restrict_x0()
-    for local, copies, dir_tag in _branch_points(restriction, strict_x):
-        if local is None:
-            # simple transversal intersection at an irrational point: one
-            # smooth branch, transversal to both coordinate lines
-            out.append((1, 1, dir_tag))
+def _branch_directions(poly: BPoly, depth_limit: int) -> list[tuple]:
+    """One tangent direction per formal branch of a reduced germ through the
+    origin: ("inf",) for the direction of the line x = 0, else ("fin", field
+    name, key of the point tau on the exceptional line, conjugate index)."""
+    out: list[tuple] = []
+    stack: list[tuple[BPoly, list | None]] = [(poly, None)]  # None at the top
+    visited = 0
+    while stack:
+        w, dirs = stack.pop()
+        if visited >= depth_limit:
+            raise ResolutionDepthError(
+                f"branch analysis depth exceeded ({depth_limit} germs)"
+            )
+        visited += 1
+        fld = w.field
+        own: list[tuple] = []  # directions of the branches that end here
+        a, b = w.x_valuation(), w.t_valuation()
+        if a:
+            w = w.divide_x_power(a)
+            own.append(("inf",))
+        if b:
+            w = w.divide_t_power(b)
+            own.append(("fin", fld.name, 0, 0))
+        m = w.total_valuation()
+        if m == 1:
+            own.append(_smooth_direction(w))
+        out.extend(own if dirs is None else dirs * len(own))
+        if m < 2:
             continue
-        at_t_direction = dir_tag[2] == 0 and dir_tag[3] == 0
-        for scx, sct, _ in _axis_contacts(local, budget):
-            m_b = scx
-            ct_extra = sct if at_t_direction else 0
-            for conj in range(copies):
-                out.append((m_b, m_b + ct_extra,
-                            (dir_tag[0], dir_tag[1], dir_tag[2], conj)))
-    if strict_t.eval_origin() == fld.zero:
-        for scx, sct, _ in _axis_contacts(strict_t, budget):
-            out.append((sct + scx, sct, ("inf",)))
+        children = []
+        strict_x = w.subst_x_xt().divide_x_power(m)
+        for local, big, tau, copies in _line_points(strict_x, strict_x):
+            if dirs is None:
+                key = None if tau is None else big.sort_key(tau)
+                tags = [("fin", big.name, key, conj) for conj in range(copies)]
+            else:
+                tags = dirs * copies
+            if local is None:
+                # simple transversal intersections at irrational points: one
+                # smooth branch each
+                out.extend(tags)
+            else:
+                children.append((local, tags))
+        strict_t = w.subst_xt_t().divide_t_power(m)
+        if strict_t.eval_origin() == fld.zero:
+            children.append((strict_t, [("inf",)] if dirs is None else dirs))
+        stack.extend(reversed(children))
     return out
 
 
-def _smooth_direction(w: BPoly, cx: int, ct: int) -> tuple:
+def _smooth_direction(w: BPoly) -> tuple:
     # tangent line of a smooth branch: c1*x + c2*t = 0
-    if cx > 1:
-        return ("inf",)
     fld = w.field
     c1 = w.terms.get((1, 0), fld.zero)
     c2 = w.terms.get((0, 1), fld.zero)
-    tau = fld.neg(fld.div(c1, c2))  # ct > 1 would mean c2 = 0, cx = 1 covers it
-    return ("fin", fld.name, fld.sort_key(tau), 0)
-
-
-def _branch_points(restriction: UPoly, strict_x: BPoly):
-    """Points of the strict transform on the exceptional line of chart "x",
-    re-centered; yields (local poly, conjugate count, direction tag)."""
-    fld = strict_x.field
-    if fld.char == 0:
-        roots, cofactor = u_rational_roots(restriction)
-        if not cofactor.is_constant():
-            if not ugcd(cofactor, cofactor.deriv()).is_constant():
-                raise IrrationalPointError(
-                    "branch analysis needs an irrational multiple point; "
-                    "rerun over a finite field"
-                )
-            # distinct irrational simple intersections: each is a smooth
-            # transversal branch, one per root of the cofactor
-            for idx in range(cofactor.degree):
-                yield (None, 1, ("fin", "Qbar", 1, idx))
-        for tau, _ in roots:
-            local = strict_x.translate_t(tau)
-            yield (local, 1, ("fin", "Q", tau, 0))
-    else:
-        _, factors = u_factor(restriction)
-        for irr, _ in factors:
-            if irr.degree == 1:
-                tau = fld.neg(irr.coeffs[0])
-                yield (strict_x.translate_t(tau), 1,
-                       ("fin", fld.name, fld.sort_key(tau), 0))
-            else:
-                big = splitting_extension(fld, irr.degree)
-                embed = extension_embedding(fld, big)
-                irr_big = UPoly(big, [embed(c) for c in irr.coeffs])
-                tau = u_roots(irr_big)[0]
-                local = strict_x.map_to(big, embed).translate_t(tau)
-                yield (local, irr.degree,
-                       ("fin", big.name, big.sort_key(tau), 0))
+    if c2 == fld.zero:
+        return ("inf",)
+    return ("fin", fld.name, fld.sort_key(fld.neg(fld.div(c1, c2))), 0)

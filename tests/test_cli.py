@@ -61,6 +61,21 @@ def test_resolve_depth_guard_exit_1():
     assert "depth exceeded" in err
 
 
+def test_resolve_long_chain_exit_0():
+    code, out, err = run_cli(["resolve", "x^2 - t^2100", "--field", "F5",
+                              "--depth-limit", "5000", "--no-timestamp",
+                              "--format", "records"])
+    assert code == 0 and err == ""
+    assert "summary\tPASS" in out
+
+
+def test_resolve_branch_analysis_depth_exit_1():
+    code, out, err = run_cli(["resolve", "x^2 - t^1000", "--field", "Q"])
+    assert code == 1 and out == ""
+    assert err.count("\n") == 1
+    assert "branch analysis depth exceeded (256 germs)" in err
+
+
 def test_resolve_negative_depth_limit_exit_2():
     code, out, err = run_cli(["resolve", "x^2 - t^3", "--field", "F5",
                               "--depth-limit", "-1"])

@@ -24,11 +24,6 @@ def test_rational_arith_examples():
     assert value == Fraction(1, 32)
     with pytest.raises(ZeroDivisionError):
         rational_arith(Fraction(7), Fraction(0), "/")
-
-
-def test_rational_arith_unicode_ops():
-    assert rational_arith(Fraction(1), Fraction(2), "−") == Fraction(-1)
-    assert rational_arith(Fraction(2, 3), Fraction(3), "×") == Fraction(2)
     with pytest.raises(ValueError):
         rational_arith(Fraction(1), Fraction(1), "%")
 

@@ -154,12 +154,3 @@ def test_delta_degree():
         delta_degree(13, 5)
     with pytest.raises(ValueError):
         delta_degree(3, 5)
-
-
-def test_invariants_serialization_roundtrip():
-    from covergeo.geography import invariants_from_json, invariants_to_json
-
-    inv = raynaud_invariants(7, 8)
-    text = invariants_to_json(inv)
-    assert invariants_from_json(text) == inv
-    assert invariants_to_json(invariants_from_json(text)) == text

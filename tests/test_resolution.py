@@ -149,6 +149,14 @@ def test_resolution_depth_guard():
         canonical_resolution(germ("x*t*(x-t)"), depth_limit=2)
 
 
+def test_resolution_long_chain_needs_only_depth_limit():
+    # 1,050 blow-ups in one chain: deeper than Python's recursion limit
+    trace = canonical_resolution(germ("x^2 - t^2100", "F5"), depth_limit=5000)
+    assert len(trace.steps) == 1050
+    assert trace.xi == 0
+    assert trace.negligible == NEGLIGIBLE_FIRST
+
+
 def test_resolution_needs_field_extension():
     # tangent directions solve 2*tau^2 = 1, irrational over F_5
     trace = canonical_resolution(germ("x^2 - 2*t^2", "F5"))
@@ -233,6 +241,7 @@ def test_trace_totals_recompute():
         ("x^2 - t^4", "Q", NEGLIGIBLE_FIRST),  # smooth tangent pair
         ("x^2 - t^6", "Q", NEGLIGIBLE_FIRST),
         ("x^2 - 2*t^2", "F5", NEGLIGIBLE_FIRST),  # conjugate pair
+        ("x^2 - 2*t^4", "F5", NEGLIGIBLE_FIRST),  # tangent conjugate pair
         ("x*t*(x - t^2)", "Q", NEGLIGIBLE_SECOND),  # two of three transversal
         ("x*(x - t^2)*(x + t^2)", "Q", NOT_NEGLIGIBLE),  # all three tangent
         ("x*(x^2 - t^3)", "Q", NOT_NEGLIGIBLE),  # line plus cusp
@@ -332,6 +341,52 @@ def test_blowups_keep_random_germs_reduced(spec):
         sites += _walk_sites(b1, 0)
         germs += 1
     assert sites > 0
+
+
+# -- metamorphic properties ----------------------------------------------------
+#
+# xi, the K^2 drop and the negligible class are invariants of the germ, so a
+# change of coordinates or a unit factor must not move them.  Swapping x and t
+# or multiplying by a unit also keeps the multiset of blow-up multiplicities
+# with their conjugate counts.
+
+def _substitute(poly, x_image, t_image):
+    fld = poly.field
+    out = BPoly.zero(fld)
+    for (i, j), c in poly.terms.items():
+        term = BPoly.constant(fld, c)
+        for _ in range(i):
+            term = term * x_image
+        for _ in range(j):
+            term = term * t_image
+        out = out + term
+    return out
+
+
+def _invariants(poly):
+    trace = canonical_resolution(BranchGerm(poly))
+    steps = sorted((s.multiplicity, s.half, s.copies) for s in trace.steps)
+    return (trace.xi, trace.k2_defect, trace.negligible), steps
+
+
+@pytest.mark.parametrize("spec", ["F5", "F7", "F11", "F5^2"])
+def test_metamorphic_invariants(spec):
+    fld = parse_field_spec(spec)
+    x, t = BPoly.var_x(fld), BPoly.var_t(fld)
+    rng = random.Random(f"metamorphic-{spec}")
+    germs = 0
+    while germs < 4:
+        b1 = _random_reduced_germ(rng, fld)
+        if b1 is None:
+            continue
+        germs += 1
+        poly = b1.poly
+        expected = _invariants(poly)
+        assert _invariants(_substitute(poly, t, x)) == expected, poly.fmt()
+        unit = BPoly.constant(fld, fld.one) + x
+        assert _invariants(poly * unit) == expected, poly.fmt()
+        shear = x + BPoly.constant(fld, fld.from_int(2)) * t
+        assert _invariants(_substitute(poly, shear, t))[0] == expected[0], poly.fmt()
 
 
 # -- invariants and properties ------------------------------------------------
