@@ -1,7 +1,7 @@
 """Exact singularity invariants of flat double covers, closed-form branch
 point recursions, and Chern-number geography checks in odd characteristic."""
 
-from .fields import QQ, extension_field, prime_field, rational_arith
+from .fields import QQ, extension_field, prime_field
 from .polynomials import BPoly, UPoly, b_squarefree, u_factor
 from .resolution import (
     BranchGerm,
@@ -39,7 +39,6 @@ __all__ = [
     "multiplicity_at_origin",
     "normalize_branch",
     "prime_field",
-    "rational_arith",
     "u_factor",
     "xi_bound_family",
     "xi_family",

@@ -66,10 +66,6 @@ class FibrationDatum:
         if self.q < 2:
             raise ValueError("base genus q must be >= 2")
 
-    @property
-    def fiber_genus(self) -> int:
-        return (self.p - 1) // 2
-
 
 def alpha_of(datum: FibrationDatum) -> int:
     """Pole degree: tame class III/IV points contribute R + 1, wild ones p*j."""
@@ -205,7 +201,7 @@ def datum_from_dict(data: dict) -> FibrationDatum:
                 lam = RamificationType.tame(int(rec["R"]))
             points.append(BranchPointDatum(cls, lam))
         return FibrationDatum(int(data["p"]), int(data["q"]), tuple(points))
-    except (KeyError, TypeError, ValueError) as exc:
+    except (KeyError, TypeError, ValueError, OverflowError) as exc:
         raise InvalidDatumError(f"malformed fibration datum: {exc}") from exc
 
 

@@ -36,23 +36,6 @@ def primes_between(lo: int, hi: int) -> list[int]:
     return [n for n in range(max(lo, 2), hi + 1) if is_prime(n)]
 
 
-def rational_arith(a: Fraction, b: Fraction, op: str) -> Fraction:
-    """Apply one exact rational operation; op is one of + - * /.  Division
-    by zero raises ZeroDivisionError."""
-    a, b = Fraction(a), Fraction(b)
-    if op == "+":
-        return a + b
-    if op == "-":
-        return a - b
-    if op == "*":
-        return a * b
-    if op == "/":
-        if b == 0:
-            raise ZeroDivisionError("rational division by zero")
-        return a / b
-    raise ValueError(f"unknown rational operation {op!r}")
-
-
 def fmt_fraction(x: Fraction) -> str:
     x = Fraction(x)
     return str(x.numerator) if x.denominator == 1 else f"{x.numerator}/{x.denominator}"
@@ -306,15 +289,8 @@ class ExtensionField:
         # g^k expressed in lower powers
         self._top = tuple(-c % p for c in modulus[:k])
 
-    def describe(self) -> str:
-        mod = _fmt_intpoly(self.modulus, "g")
-        return f"F{self.p}[g]/({mod})"
-
     def from_int(self, n: int):
         return (n % self.p,) + (0,) * (self.k - 1)
-
-    def generator(self):
-        return self.decode(self.p)
 
     def add(self, a, b):
         p = self.p

@@ -9,9 +9,7 @@ genus of the shape (p^i + p^j - 2)/2.
 
 from __future__ import annotations
 
-import warnings
 from dataclasses import dataclass
-from fractions import Fraction
 
 from .fields import is_prime
 
@@ -105,23 +103,3 @@ def quasi_hyperelliptic_genus_ok(g: int, p: int,
         return None  # a larger exponent might still work
     return False
 
-
-def double_cover_curve_genus(g_base: int, deg_branch: int) -> int:
-    """Arithmetic genus of a flat double cover of a smooth curve:
-    2*g_base - 1 + deg(B)/2."""
-    if deg_branch < 0 or deg_branch % 2:
-        raise ValueError("branch degree must be even and non-negative")
-    return 2 * g_base - 1 + deg_branch // 2
-
-
-def double_cover_surface_chi(chi_base: int, b_sq: int, b_dot_k: int) -> Fraction:
-    """chi of a flat double cover of a smooth surface:
-    2*chi_base + (B^2 + 2 B.K)/8.  Non-integral results are flagged."""
-    chi = 2 * chi_base + Fraction(b_sq + 2 * b_dot_k, 8)
-    if chi.denominator != 1:
-        warnings.warn(
-            f"double cover chi = {chi} is not an integer; the input data "
-            "cannot come from an actual branch divisor",
-            stacklevel=2,
-        )
-    return chi

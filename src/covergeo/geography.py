@@ -17,8 +17,6 @@ from fractions import Fraction
 
 from .fields import is_prime, primes_between
 
-CLASSICAL_CHAR0_RATIO = Fraction(1, 9)  # chi/c_1^2 floor over C, for reference
-
 
 @dataclass(frozen=True)
 class SurfaceInvariants:
@@ -31,8 +29,6 @@ class SurfaceInvariants:
     chi: int
     q: int | None = None  # base-curve genus of the fibration, if any
     g: int | None = None  # fiber arithmetic genus, if any
-    p_g: int | None = None
-    irregularity: int | None = None
 
 
 def noether_check(inv: SurfaceInvariants) -> bool:
@@ -43,12 +39,6 @@ def c2_floor_check(inv: SurfaceInvariants) -> bool:
     if inv.q is None:
         raise ValueError("c2 floor needs the base-curve genus q")
     return inv.c2 >= -4 * (inv.q - 1)
-
-
-def bmy_char0_check(inv: SurfaceInvariants) -> bool:
-    """Classical char-0 inequality 3 c2 >= c1^2 (reference only; fails in
-    positive characteristic)."""
-    return 3 * inv.c2 >= inv.K2
 
 
 def kappa_conjectural(p: int) -> Fraction:
@@ -76,7 +66,6 @@ class KappaReport:
     conjectural: Fraction | None
     proven_lower: Fraction | None
     proven_is_exact: bool
-    classical_char0: Fraction = CLASSICAL_CHAR0_RATIO
 
     @property
     def note(self) -> str:
@@ -226,20 +215,6 @@ def clifford_case(deg_d: int, h0: int, q: int) -> str:
     if 2 * (h0 - 1) <= deg_d <= 2 * (q - 1):
         return "case2"
     return "inconsistent"
-
-
-def delta_degree(g: int, p: int) -> Fraction:
-    """Degree 2pg/(p-1) of the inseparable-locus divisor on the generic
-    fiber, valid for (p-1) | 2g and g < (p^2-1)/2."""
-    if p < 3 or not is_prime(p):
-        raise ValueError("p must be an odd prime")
-    if (2 * g) % (p - 1):
-        raise ValueError(f"p - 1 = {p - 1} must divide 2g = {2 * g}")
-    if g >= (p * p - 1) // 2:
-        raise ValueError(
-            f"g = {g} is outside the range g < (p^2-1)/2 = {(p * p - 1) // 2}"
-        )
-    return Fraction(2 * p * g, p - 1)
 
 
 def kappa_table(p_min: int, p_max: int) -> list[KappaReport]:

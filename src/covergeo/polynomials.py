@@ -29,10 +29,6 @@ class BPoly:
         return cls(field, {(0, 0): c})
 
     @classmethod
-    def monomial(cls, field, c, i, j):
-        return cls(field, {(i, j): c})
-
-    @classmethod
     def var_x(cls, field):
         return cls(field, {(1, 0): field.one})
 

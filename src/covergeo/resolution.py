@@ -109,7 +109,6 @@ class SingularSite:
     chart: str
     location: str  # printed coordinate of the center on the exceptional line
     germ: BranchGerm  # branch re-centered at the point (field may be larger)
-    multiplicity: int
     copies: int  # number of conjugate points this representative stands for
 
 
@@ -128,7 +127,6 @@ class BlowupStep:
     multiplicity: int
     half: int
     copies: int
-    chart_branches: tuple[str, str]
 
     @property
     def chi_drop_each(self) -> int:
@@ -157,8 +155,7 @@ class ResolutionTrace:
         return xi, k2
 
 
-def blowup_once(germ: BranchGerm, multiplicity: int | None = None, *,
-                point_order: str = "canonical") -> BlowupResult:
+def blowup_once(germ: BranchGerm) -> BlowupResult:
     """Blow up the origin of a reduced branch germ of multiplicity >= 2.
 
     Returns both standard charts (chart "x": x = x, t = x*t with exceptional
@@ -171,19 +168,16 @@ def blowup_once(germ: BranchGerm, multiplicity: int | None = None, *,
     returned are reduced again, so blowing them up needs no new check.
     """
     _require_reduced(germ.poly)
-    return _blowup(germ, multiplicity, point_order)
+    return _blowup(germ)
 
 
-def _blowup(germ: BranchGerm, multiplicity: int | None,
-            point_order: str) -> BlowupResult:
+def _blowup(germ: BranchGerm) -> BlowupResult:
     # The germ is reduced.  So is each branch built here: x does not divide
     # strict_x (its restriction to x = 0 is the nonzero tangent cone), the
     # same holds for t and strict_t, and translating or extending the field
     # (all fields here are perfect) keeps a polynomial squarefree.
     poly = germ.poly
     m = poly.total_valuation()
-    if multiplicity is not None and multiplicity != m:
-        raise ValueError(f"stated multiplicity {multiplicity} != actual {m}")
     if m < 2:
         raise ValueError("blow-up center must be a singular point (mult >= 2)")
     fld = poly.field
@@ -201,10 +195,6 @@ def _blowup(germ: BranchGerm, multiplicity: int | None,
     charts = (BlowupChart("x", strict_x, branch_x),
               BlowupChart("t", strict_t, branch_t))
     sites = _sites_on_exceptional(strict_x, branch_x, branch_t)
-    if point_order == "reversed":
-        sites = tuple(reversed(sites))
-    elif point_order != "canonical":
-        raise ValueError(f"unknown point order {point_order!r}")
     return BlowupResult(m, m // 2, charts, tuple(sites))
 
 
@@ -227,14 +217,12 @@ def _sites_on_exceptional(strict_x: BPoly, branch_x: BPoly,
     sites: list[SingularSite] = []
     for local, big, tau, copies in _line_points(strict_x, branch_x):
         # simple irrational points over Q (local None) are regular
-        mult = 0 if local is None else local.total_valuation()
-        if mult >= 2:
+        if local is not None and local.total_valuation() >= 2:
             label = fld.fmt(tau) if big is fld else f"{big.fmt(tau)} in {big.name}"
-            sites.append(SingularSite("x", label, BranchGerm(local), mult, copies))
+            sites.append(SingularSite("x", label, BranchGerm(local), copies))
     # origin of chart "t" = the one direction chart "x" misses
-    mult = branch_t.total_valuation()
-    if mult >= 2:
-        sites.append(SingularSite("t", "0", BranchGerm(branch_t), mult, 1))
+    if branch_t.total_valuation() >= 2:
+        sites.append(SingularSite("t", "0", BranchGerm(branch_t), 1))
     return sites
 
 
@@ -281,8 +269,8 @@ def _line_points(strict_x: BPoly, poly: BPoly):
             yield poly.map_to(big, embed).translate_t(tau), big, tau, irr.degree
 
 
-def canonical_resolution(germ: BranchGerm, *, depth_limit: int = DEFAULT_DEPTH_LIMIT,
-                         point_order: str = "canonical") -> ResolutionTrace:
+def canonical_resolution(germ: BranchGerm, *,
+                         depth_limit: int = DEFAULT_DEPTH_LIMIT) -> ResolutionTrace:
     """Resolve the branch germ at the origin and collect the invariants.
 
     The branch is normalized first; blow-ups then continue until the branch
@@ -308,14 +296,13 @@ def canonical_resolution(germ: BranchGerm, *, depth_limit: int = DEFAULT_DEPTH_L
                 raise ResolutionDepthError(
                     f"resolution depth exceeded ({depth_limit} blow-ups)"
                 )
-            result = _blowup(current, None, point_order)
+            result = _blowup(current)
             steps.append(BlowupStep(
                 index=len(steps),
                 center=center,
                 multiplicity=result.multiplicity,
                 half=result.half,
                 copies=copies,
-                chart_branches=tuple(c.branch.fmt() for c in result.charts),
             ))
             # pushed in reverse, so the sites are blown up depth first in order
             for site in reversed(result.singular_sites):
@@ -376,9 +363,11 @@ def _classify(poly: BPoly, depth_limit: int) -> str:
 
 
 def _branch_directions(poly: BPoly, depth_limit: int) -> list[tuple]:
-    """One tangent direction per formal branch of a reduced germ through the
-    origin: ("inf",) for the direction of the line x = 0, else ("fin", field
-    name, key of the point tau on the exceptional line, conjugate index)."""
+    """One tag per formal branch of a reduced germ through the origin: its
+    tangent direction, ("inf",) for the direction of the line x = 0, else
+    ("fin", field name, key of the point tau on the exceptional line,
+    conjugate index); or ("smooth",) for a smooth branch left at the top
+    once the factors x and t are split off, whose direction is never read."""
     out: list[tuple] = []
     stack: list[tuple[BPoly, list | None]] = [(poly, None)]  # None at the top
     visited = 0
@@ -400,7 +389,12 @@ def _branch_directions(poly: BPoly, depth_limit: int) -> list[tuple]:
             own.append(("fin", fld.name, 0, 0))
         m = w.total_valuation()
         if m == 1:
-            own.append(_smooth_direction(w))
+            # The tag's direction is never read.  Below the top only the
+            # number of own tags counts.  At the top the germ has
+            # multiplicity 2 or 3, so a smooth w is left only beside x or t:
+            # at 2 directions are not read, and at 3 the germ is x*t*w, whose
+            # tags for x and t already give two directions.
+            own.append(("smooth",))
         out.extend(own if dirs is None else dirs * len(own))
         if m < 2:
             continue
@@ -423,13 +417,3 @@ def _branch_directions(poly: BPoly, depth_limit: int) -> list[tuple]:
             children.append((strict_t, [("inf",)] if dirs is None else dirs))
         stack.extend(reversed(children))
     return out
-
-
-def _smooth_direction(w: BPoly) -> tuple:
-    # tangent line of a smooth branch: c1*x + c2*t = 0
-    fld = w.field
-    c1 = w.terms.get((1, 0), fld.zero)
-    c2 = w.terms.get((0, 1), fld.zero)
-    if c2 == fld.zero:
-        return ("inf",)
-    return ("fin", fld.name, fld.sort_key(fld.neg(fld.div(c1, c2))), 0)

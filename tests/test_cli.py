@@ -97,6 +97,8 @@ def test_usage_error_exit_2():
         ("node_q", ["resolve", "x*t", "--field", "Q"]),
         ("three_lines_q", ["resolve", "x*t*(x-t)", "--field", "Q"]),
         ("quartic_f5", ["resolve", "x^5 - t^4", "--field", "F5"]),
+        ("conjugate_nested_f5",
+         ["resolve", "(x^2-2*t^2)^2*x + t^7", "--field", "F5"]),
     ],
 )
 def test_resolve_goldens(name, argv):
@@ -113,6 +115,7 @@ def test_golden_xis_are_expected():
         "node_q": 0,
         "three_lines_q": 0,
         "quartic_f5": 1,
+        "conjugate_nested_f5": 1,
     }
     for name, xi in expected.items():
         golden = (GOLDEN_DIR / f"{name}.records").read_text(encoding="utf-8")
@@ -188,6 +191,18 @@ def test_fibration_inconsistent_datum_fails(tmp_path):
 def test_fibration_missing_file():
     code, _, err = run_cli(["fibration", "/nonexistent/datum.json"])
     assert code == 2
+
+
+def test_fibration_overflowing_number_exit_2(tmp_path):
+    # 1e400 parses to inf, and int(inf) raises OverflowError
+    path = tmp_path / "datum.json"
+    path.write_text('{"p": 5, "q": 2, "points": '
+                    '[{"class": "I", "kind": "tame", "R": 1e400}]}',
+                    encoding="utf-8")
+    code, out, err = run_cli(["fibration", str(path)])
+    assert code == 2
+    assert out == ""
+    assert err.count("\n") == 1 and "malformed fibration datum" in err
 
 
 def test_raynaud_command():

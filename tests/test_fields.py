@@ -1,9 +1,6 @@
 import random
-from fractions import Fraction
 
 import pytest
-from hypothesis import given
-from hypothesis import strategies as st
 
 from covergeo.fields import (
     extension_field,
@@ -11,31 +8,7 @@ from covergeo.fields import (
     minimal_irreducible,
     prime_field,
     primes_between,
-    rational_arith,
 )
-
-
-def test_rational_arith_examples():
-    assert rational_arith(Fraction(1, 3), Fraction(1, 6), "+") == Fraction(1, 2)
-    p = 5
-    value = rational_arith(
-        Fraction(p * p - 4 * p - 1), Fraction(4 * (3 * p * p - 8 * p - 3)), "/"
-    )
-    assert value == Fraction(1, 32)
-    with pytest.raises(ZeroDivisionError):
-        rational_arith(Fraction(7), Fraction(0), "/")
-    with pytest.raises(ValueError):
-        rational_arith(Fraction(1), Fraction(1), "%")
-
-
-@given(st.fractions(), st.fractions())
-def test_rational_exactness(a, b):
-    assert rational_arith(rational_arith(a, b, "+"), b, "-") == a
-
-
-@given(st.fractions().filter(lambda a: a != 0))
-def test_rational_inverse(a):
-    assert rational_arith(a, rational_arith(Fraction(1), a, "/"), "*") == 1
 
 
 def test_prime_field_validation():

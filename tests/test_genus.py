@@ -1,12 +1,7 @@
-import warnings
-from fractions import Fraction
-
 import pytest
 
 from covergeo.genus import (
     GenusChangeRecord,
-    double_cover_curve_genus,
-    double_cover_surface_chi,
     quasi_hyperelliptic_genus_ok,
     rational_curve_torsion,
     tate_divisibility,
@@ -76,26 +71,6 @@ def test_quasi_hyperelliptic_implies_tate():
         for g in range(0, 201):
             if quasi_hyperelliptic_genus_ok(g, p) is True:
                 assert tate_divisibility(GenusChangeRecord(p, g, 0))
-
-
-def test_double_cover_curve_genus():
-    assert double_cover_curve_genus(0, 6) == 2
-    assert double_cover_curve_genus(0, 2) == 0
-    assert double_cover_curve_genus(1, 0) == 1
-    # fiber of the degree p+1 branch at p = 5: genus (p-1)/2
-    assert double_cover_curve_genus(0, 6) == (5 - 1) // 2
-    with pytest.raises(ValueError):
-        double_cover_curve_genus(0, 5)
-
-
-def test_double_cover_surface_chi():
-    assert double_cover_surface_chi(1, 0, 0) == 2
-    assert double_cover_surface_chi(0, 4, 2) == 1
-    with warnings.catch_warnings(record=True) as caught:
-        warnings.simplefilter("always")
-        value = double_cover_surface_chi(0, 1, 0)
-    assert value == Fraction(1, 8)
-    assert caught and "not an integer" in str(caught[0].message)
 
 
 def test_record_validation():

@@ -5,12 +5,10 @@ import pytest
 from covergeo.fields import primes_between
 from covergeo.geography import (
     SurfaceInvariants,
-    bmy_char0_check,
     c2_floor_check,
     canonical_map_bounds,
     char3_example,
     clifford_case,
-    delta_degree,
     intersection_floor_check,
     kappa_conjectural,
     kappa_limit_gap,
@@ -107,10 +105,6 @@ def test_char3_ratio_tends_to_minus_four():
     assert abs(ratios[4] + 4) < Fraction(1, 10)  # n = 6
 
 
-def test_bmy_fails_on_negative_c2():
-    assert not bmy_char0_check(raynaud_invariants(5, 4))
-
-
 def test_canonical_map_bounds():
     g_max, d_max = canonical_map_bounds(5, 3, Fraction(1, 32))
     assert g_max == 41
@@ -146,11 +140,3 @@ def test_clifford_cases():
     assert clifford_case(2, 2, 2) == "case2"
     assert clifford_case(4, 5, 2) == "inconsistent"
 
-
-def test_delta_degree():
-    assert delta_degree(2, 5) == 5
-    assert delta_degree(2, 3) == 6
-    with pytest.raises(ValueError):
-        delta_degree(13, 5)
-    with pytest.raises(ValueError):
-        delta_degree(3, 5)

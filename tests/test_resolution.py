@@ -416,11 +416,14 @@ SAMPLE_GERMS = [
 
 
 def test_order_independence_of_totals():
+    # swapping x and t reorders the sites on each exceptional line
     for expr in SAMPLE_GERMS:
         for spec in ("Q", "F13"):
             g = germ(expr, spec)
-            forward = canonical_resolution(g, point_order="canonical")
-            backward = canonical_resolution(g, point_order="reversed")
+            fld = g.field
+            swapped = BranchGerm(_substitute(g.poly, BPoly.var_t(fld), BPoly.var_x(fld)))
+            forward = canonical_resolution(g)
+            backward = canonical_resolution(swapped)
             assert (forward.xi, forward.k2_defect) == (
                 backward.xi,
                 backward.k2_defect,
