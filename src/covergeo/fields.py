@@ -193,11 +193,6 @@ class RationalField:
             raise ZeroDivisionError("inverse of zero in Q")
         return 1 / Fraction(a)
 
-    def div(self, a, b):
-        if b == 0:
-            raise ZeroDivisionError("division by zero in Q")
-        return Fraction(a) / b
-
     def pow(self, a, e: int):
         return Fraction(a) ** e
 
@@ -242,9 +237,6 @@ class PrimeField:
         if a == 0:
             raise ZeroDivisionError(f"inverse of zero in {self.name}")
         return pow(a, -1, self.p)
-
-    def div(self, a, b):
-        return a * self.inv(b) % self.p
 
     def pow(self, a, e: int):
         if e < 0:
@@ -335,9 +327,6 @@ class ExtensionField:
         s0 = [c * lead_inv % p for c in s0]
         s0 += [0] * (self.k - len(s0))
         return tuple(s0[: self.k])
-
-    def div(self, a, b):
-        return self.mul(a, self.inv(b))
 
     def pow(self, a, e: int):
         if e < 0:

@@ -168,10 +168,12 @@ def blowup_once(germ: BranchGerm) -> BlowupResult:
     returned are reduced again, so blowing them up needs no new check.
     """
     _require_reduced(germ.poly)
-    return _blowup(germ)
+    return _blowup(germ, (False, False))[0]
 
 
-def _blowup(germ: BranchGerm) -> BlowupResult:
+def _blowup(germ: BranchGerm, flags: tuple[bool, bool]):
+    # Returns the blow-up, its sites with their flags and the number of
+    # branch ends, as in _sites_on_exceptional.
     # The germ is reduced.  So is each branch built here: x does not divide
     # strict_x (its restriction to x = 0 is the nonzero tangent cone), the
     # same holds for t and strict_t, and translating or extending the field
@@ -194,8 +196,9 @@ def _blowup(germ: BranchGerm) -> BlowupResult:
 
     charts = (BlowupChart("x", strict_x, branch_x),
               BlowupChart("t", strict_t, branch_t))
-    sites = _sites_on_exceptional(strict_x, branch_x, branch_t)
-    return BlowupResult(m, m // 2, charts, tuple(sites))
+    sites, ends = _sites_on_exceptional(strict_x, branch_x, strict_t, branch_t, flags)
+    result = BlowupResult(m, m // 2, charts, tuple(site for site, _ in sites))
+    return result, sites, ends
 
 
 def _require_reduced(poly: BPoly) -> None:
@@ -206,24 +209,41 @@ def _require_reduced(poly: BPoly) -> None:
         )
 
 
-def _sites_on_exceptional(strict_x: BPoly, branch_x: BPoly,
-                          branch_t: BPoly) -> list[SingularSite]:
-    """Singular points of the new branch lying on the exceptional line.
+def _sites_on_exceptional(strict_x: BPoly, branch_x: BPoly, strict_t: BPoly,
+                          branch_t: BPoly, flags: tuple[bool, bool]):
+    """Singular points of the new branch lying on the exceptional line, each
+    with its flags, and the number of branch ends on the line.
 
     Chart "x" sees every point of the line except the origin of chart "t";
     candidates are the zeros of the strict transform restricted to the line.
+    ``flags`` say whether the lines x = 0 and t = 0 through the blown-up
+    point are exceptional parts of the branch.  At a site the new line is
+    one iff the multiplicity is odd, and the old line through it (t = 0 at
+    tau = 0 in chart "x", x = 0 at the origin of chart "t") keeps its flag.
+    A branch end is a regular point of the branch where the strict
+    transform meets the line, off the old lines; each conjugate counts.
     """
     fld = strict_x.field
-    sites: list[SingularSite] = []
+    on_x, on_t = flags
+    new = branch_x.x_valuation() > 0  # the multiplicity is odd
+    sites: list[tuple[SingularSite, tuple[bool, bool]]] = []
+    ends = 0
     for local, big, tau, copies in _line_points(strict_x, branch_x):
+        old = on_t and tau == fld.zero
         # simple irrational points over Q (local None) are regular
         if local is not None and local.total_valuation() >= 2:
             label = fld.fmt(tau) if big is fld else f"{big.fmt(tau)} in {big.name}"
-            sites.append(SingularSite("x", label, BranchGerm(local), copies))
+            site = SingularSite("x", label, BranchGerm(local), copies)
+            sites.append((site, (new, old)))
+        elif not old:
+            ends += copies
     # origin of chart "t" = the one direction chart "x" misses
     if branch_t.total_valuation() >= 2:
-        sites.append(SingularSite("t", "0", BranchGerm(branch_t), 1))
-    return sites
+        site = SingularSite("t", "0", BranchGerm(branch_t), 1)
+        sites.append((site, (on_x, new)))
+    elif strict_t.eval_origin() == fld.zero and not on_x:
+        ends += 1
+    return sites, ends
 
 
 def _line_points(strict_x: BPoly, poly: BPoly):
@@ -279,35 +299,13 @@ def canonical_resolution(germ: BranchGerm, *,
     first); totals do not depend on the order.  Reducedness is established
     once, by normalization; blow-ups keep it, so it is not checked again.
 
-    Both walks of the blow-up tree run from explicit stacks, so the only
-    limit on their depth is ``depth_limit``: at most that many blow-ups,
-    and at most that many germs visited by the negligible classification
-    (ResolutionDepthError beyond either).
+    The blow-up tree is walked once, from an explicit stack, so the only
+    limit on its depth is ``depth_limit``: at most that many blow-ups
+    (ResolutionDepthError beyond).  The negligible class is read off the
+    same walk.
     """
     b1, b0 = normalize_branch(germ)
-    steps: list[BlowupStep] = []
-    negligible = NOT_NEGLIGIBLE
-    if b1.poly.total_valuation() >= 2:
-        negligible = _classify(b1.poly, depth_limit)
-        stack = [(b1, "origin", 1)]
-        while stack:
-            current, center, copies = stack.pop()
-            if len(steps) >= depth_limit:
-                raise ResolutionDepthError(
-                    f"resolution depth exceeded ({depth_limit} blow-ups)"
-                )
-            result = _blowup(current)
-            steps.append(BlowupStep(
-                index=len(steps),
-                center=center,
-                multiplicity=result.multiplicity,
-                half=result.half,
-                copies=copies,
-            ))
-            # pushed in reverse, so the sites are blown up depth first in order
-            for site in reversed(result.singular_sites):
-                label = f"{center} -> chart {site.chart} @ {site.location}"
-                stack.append((site.germ, label, copies * site.copies))
+    steps, negligible = _resolve(b1, depth_limit)
     xi = sum(s.copies * s.chi_drop_each for s in steps)
     k2 = sum(s.copies * s.k2_drop_each for s in steps)
     return ResolutionTrace(
@@ -323,97 +321,63 @@ def canonical_resolution(germ: BranchGerm, *,
     )
 
 
-# ---------------------------------------------------------------------------
-# Negligible singularity classification via formal branch counting.
-#
-# A reduced germ is split into formal branches by following strict transforms
-# through blow-ups, from an explicit stack: a factor x or t is one smooth
-# branch, a germ of multiplicity 1 is one smooth branch, and a singular germ
-# hands its points on the exceptional line on to the next blow-up.  A germ of
-# multiplicity m is a union of m smooth branches iff it has exactly m formal
-# branches.  Each branch keeps the tangent direction it had at the origin, as
-# a point of the first exceptional line; a conjugate orbit is walked once and
-# its branches counted once per conjugate.
-
-
 def is_negligible(germ: BranchGerm, *, depth_limit: int = DEFAULT_DEPTH_LIMIT) -> str:
     """Classify the germ: union of two smooth branches (first kind), union of
     three smooth branches not all mutually tangent (second kind), or neither.
 
     The germ must be reduced; this is checked here (ValueError otherwise).
-    The branches are counted by a walk that visits at most ``depth_limit``
-    germs (ResolutionDepthError beyond).
+    A germ of multiplicity 2 or 3 is resolved as by ``canonical_resolution``
+    and raises what that raises: ResolutionDepthError beyond ``depth_limit``
+    blow-ups, and IrrationalPointError over Q for a germ of multiplicity 3
+    with irrational tangents.
     """
     _require_reduced(germ.poly)
-    return _classify(germ.poly, depth_limit)
-
-
-def _classify(poly: BPoly, depth_limit: int) -> str:
-    # poly is reduced: is_negligible checks it, canonical_resolution gets it
-    # from normalize_branch
-    m = poly.total_valuation()
-    if m not in (2, 3):
+    if germ.poly.total_valuation() not in (2, 3):
         return NOT_NEGLIGIBLE
-    directions = _branch_directions(poly, depth_limit)
-    if len(directions) != m:
-        return NOT_NEGLIGIBLE  # some branch is singular
-    if m == 2:
-        return NEGLIGIBLE_FIRST
-    return NEGLIGIBLE_SECOND if len(set(directions)) >= 2 else NOT_NEGLIGIBLE
+    return _resolve(germ, depth_limit)[1]
 
 
-def _branch_directions(poly: BPoly, depth_limit: int) -> list[tuple]:
-    """One tag per formal branch of a reduced germ through the origin: its
-    tangent direction, ("inf",) for the direction of the line x = 0, else
-    ("fin", field name, key of the point tau on the exceptional line,
-    conjugate index); or ("smooth",) for a smooth branch left at the top
-    once the factors x and t are split off, whose direction is never read."""
-    out: list[tuple] = []
-    stack: list[tuple[BPoly, list | None]] = [(poly, None)]  # None at the top
-    visited = 0
+# A germ of multiplicity m is a union of m smooth branches iff it has m
+# formal branches.  The walk counts them at their ends: each branch passes
+# through a chain of blown-up points and leaves the last exceptional line it
+# meets at a point that is not blown up, where the branch divisor is regular
+# and so carries that branch alone.  The flags on each stack entry keep the
+# exceptional lines of the branch divisor out of the count.
+
+def _resolve(b1: BranchGerm, depth_limit: int) -> tuple[list[BlowupStep], str]:
+    """Blow up the reduced germ ``b1`` until its branch is regular above the
+    origin; returns the steps and the negligible class."""
+    m = b1.poly.total_valuation()
+    steps: list[BlowupStep] = []
+    if m < 2:
+        return steps, NOT_NEGLIGIBLE
+    branches = directions = 0
+    # (germ, centre, copies, flags), flags as in _sites_on_exceptional
+    stack = [(b1, "origin", 1, (False, False))]
     while stack:
-        w, dirs = stack.pop()
-        if visited >= depth_limit:
+        current, center, copies, flags = stack.pop()
+        if len(steps) >= depth_limit:
             raise ResolutionDepthError(
-                f"branch analysis depth exceeded ({depth_limit} germs)"
+                f"resolution depth exceeded ({depth_limit} blow-ups)"
             )
-        visited += 1
-        fld = w.field
-        own: list[tuple] = []  # directions of the branches that end here
-        a, b = w.x_valuation(), w.t_valuation()
-        if a:
-            w = w.divide_x_power(a)
-            own.append(("inf",))
-        if b:
-            w = w.divide_t_power(b)
-            own.append(("fin", fld.name, 0, 0))
-        m = w.total_valuation()
-        if m == 1:
-            # The tag's direction is never read.  Below the top only the
-            # number of own tags counts.  At the top the germ has
-            # multiplicity 2 or 3, so a smooth w is left only beside x or t:
-            # at 2 directions are not read, and at 3 the germ is x*t*w, whose
-            # tags for x and t already give two directions.
-            own.append(("smooth",))
-        out.extend(own if dirs is None else dirs * len(own))
-        if m < 2:
-            continue
-        children = []
-        strict_x = w.subst_x_xt().divide_x_power(m)
-        for local, big, tau, copies in _line_points(strict_x, strict_x):
-            if dirs is None:
-                key = None if tau is None else big.sort_key(tau)
-                tags = [("fin", big.name, key, conj) for conj in range(copies)]
-            else:
-                tags = dirs * copies
-            if local is None:
-                # simple transversal intersections at irrational points: one
-                # smooth branch each
-                out.extend(tags)
-            else:
-                children.append((local, tags))
-        strict_t = w.subst_xt_t().divide_t_power(m)
-        if strict_t.eval_origin() == fld.zero:
-            children.append((strict_t, [("inf",)] if dirs is None else dirs))
-        stack.extend(reversed(children))
-    return out
+        result, sites, ends = _blowup(current, flags)
+        if not steps:
+            # tangent directions; at odd m every one of them is a site
+            directions = sum(site.copies for site, _ in sites)
+        steps.append(BlowupStep(
+            index=len(steps),
+            center=center,
+            multiplicity=result.multiplicity,
+            half=result.half,
+            copies=copies,
+        ))
+        branches += copies * ends
+        # pushed in reverse, so the sites are blown up depth first in order
+        for site, site_flags in reversed(sites):
+            label = f"{center} -> chart {site.chart} @ {site.location}"
+            stack.append((site.germ, label, copies * site.copies, site_flags))
+    if m == 2 and branches == 2:
+        return steps, NEGLIGIBLE_FIRST
+    if m == 3 and branches == 3 and directions >= 2:
+        return steps, NEGLIGIBLE_SECOND
+    return steps, NOT_NEGLIGIBLE

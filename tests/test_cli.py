@@ -70,10 +70,12 @@ def test_resolve_long_chain_exit_0():
 
 
 def test_resolve_branch_analysis_depth_exit_1():
+    # the negligible class is read off the blow-ups, so the blow-up count is
+    # the only limit: this chain needs 500 of them
     code, out, err = run_cli(["resolve", "x^2 - t^1000", "--field", "Q"])
     assert code == 1 and out == ""
     assert err.count("\n") == 1
-    assert "branch analysis depth exceeded (256 germs)" in err
+    assert "resolution depth exceeded (256 blow-ups)" in err
 
 
 def test_resolve_negative_depth_limit_exit_2():

@@ -149,6 +149,13 @@ def test_resolution_depth_guard():
         canonical_resolution(germ("x*t*(x-t)"), depth_limit=2)
 
 
+def test_resolution_depth_limit_counts_only_blowups():
+    # one blow-up resolves x^2 - t^2 and decides its class
+    trace = canonical_resolution(germ("x^2 - t^2"), depth_limit=1)
+    assert len(trace.steps) == 1
+    assert trace.negligible == NEGLIGIBLE_FIRST
+
+
 def test_resolution_long_chain_needs_only_depth_limit():
     # 1,050 blow-ups in one chain: deeper than Python's recursion limit
     trace = canonical_resolution(germ("x^2 - t^2100", "F5"), depth_limit=5000)
@@ -189,6 +196,15 @@ def test_resolution_even_multiplicity_irrational_simple_points_ok():
 def test_resolution_irrational_over_q():
     with pytest.raises(IrrationalPointError):
         canonical_resolution(germ("t*(x^2 - 2*t^2)"))
+
+
+def test_is_negligible_raises_what_resolution_raises():
+    # at odd multiplicity the irrational tangents are singular points
+    for expr in ("x^3 - t^3", "t*(x^2 - 2*t^2)"):
+        with pytest.raises(IrrationalPointError):
+            canonical_resolution(germ(expr))
+        with pytest.raises(IrrationalPointError):
+            is_negligible(germ(expr))
 
 
 def test_resolution_wild_branch():
