@@ -6,7 +6,8 @@ and cheap.  Field constructors are cached, hence fields can be compared by
 identity.  Extension fields choose their defining polynomial
 deterministically: the monic irreducible of the required degree whose
 non-leading coefficient vector, read as base-p digits (constant term least
-significant), is minimal.  Reruns therefore produce identical element
+significant), is minimal; irreducibility is read off the factorization
+over F_p in ``univariate``.  Reruns therefore produce identical element
 encodings and labels.
 """
 
@@ -14,6 +15,8 @@ from __future__ import annotations
 
 import functools
 from fractions import Fraction
+
+from .univariate import UPoly, u_factor
 
 
 def is_prime(n: int) -> bool:
@@ -41,103 +44,6 @@ def fmt_fraction(x: Fraction) -> str:
     return str(x.numerator) if x.denominator == 1 else f"{x.numerator}/{x.denominator}"
 
 
-# ---------------------------------------------------------------------------
-# Raw univariate arithmetic over F_p (dense int lists), used for building and
-# running extension fields.  Lists hold coefficients in increasing degree.
-
-def _ptrim(c: list[int]) -> list[int]:
-    while c and c[-1] == 0:
-        c.pop()
-    return c
-
-
-def _pmul(a: list[int], b: list[int], p: int) -> list[int]:
-    if not a or not b:
-        return []
-    out = [0] * (len(a) + len(b) - 1)
-    for i, ai in enumerate(a):
-        if ai:
-            for j, bj in enumerate(b):
-                out[i + j] = (out[i + j] + ai * bj) % p
-    return _ptrim(out)
-
-
-def _padd(a: list[int], b: list[int], p: int) -> list[int]:
-    n = max(len(a), len(b))
-    out = [0] * n
-    for i, c in enumerate(a):
-        out[i] = c
-    for i, c in enumerate(b):
-        out[i] = (out[i] + c) % p
-    return _ptrim(out)
-
-
-def _pdivmod(a: list[int], b: list[int], p: int) -> tuple[list[int], list[int]]:
-    if not b:
-        raise ZeroDivisionError("polynomial division by zero")
-    a = list(a)
-    inv_lead = pow(b[-1], -1, p)
-    q = [0] * max(0, len(a) - len(b) + 1)
-    while len(a) >= len(b):
-        c = a[-1] * inv_lead % p
-        d = len(a) - len(b)
-        q[d] = c
-        for i, bi in enumerate(b):
-            a[d + i] = (a[d + i] - c * bi) % p
-        _ptrim(a)
-        if not a:
-            break
-    return _ptrim(q), a
-
-
-def _pgcd(a: list[int], b: list[int], p: int) -> list[int]:
-    a, b = list(a), list(b)
-    while b:
-        a, b = b, _pdivmod(a, b, p)[1]
-    if a:
-        inv = pow(a[-1], -1, p)
-        a = [c * inv % p for c in a]
-    return a
-
-
-def _ppowmod(base: list[int], e: int, mod: list[int], p: int) -> list[int]:
-    result = [1]
-    base = _pdivmod(base, mod, p)[1]
-    while e > 0:
-        if e & 1:
-            result = _pdivmod(_pmul(result, base, p), mod, p)[1]
-        base = _pdivmod(_pmul(base, base, p), mod, p)[1]
-        e >>= 1
-    return result
-
-
-def _is_irreducible(f: list[int], p: int) -> bool:
-    """Monic f over F_p, degree k >= 1, by the Frobenius criterion."""
-    k = len(f) - 1
-    x = [0, 1]
-    if _ppowmod(x, p**k, f, p) != x:
-        return False
-    for q in _prime_divisors(k):
-        h = _padd(_ppowmod(x, p ** (k // q), f, p), [0, p - 1], p)
-        if len(_pgcd(h, f, p)) != 1:
-            return False
-    return True
-
-
-def _prime_divisors(n: int) -> list[int]:
-    out = []
-    d = 2
-    while d * d <= n:
-        if n % d == 0:
-            out.append(d)
-            while n % d == 0:
-                n //= d
-        d += 1
-    if n > 1:
-        out.append(n)
-    return out
-
-
 def minimal_irreducible(p: int, k: int) -> tuple[int, ...]:
     """Deterministic defining polynomial for F_{p^k}: the monic irreducible
     x^k + c_{k-1}x^{k-1} + ... + c_0 whose digit vector (c_0, ..., c_{k-1})
@@ -146,14 +52,17 @@ def minimal_irreducible(p: int, k: int) -> tuple[int, ...]:
         raise ValueError("extension degree must be >= 1")
     if k == 1:
         return (0, 1)
+    fp = prime_field(p)
     for code in range(p**k):
         digits, v = [], code
         for _ in range(k):
             digits.append(v % p)
             v //= p
-        f = digits + [1]
-        if f[0] != 0 and _is_irreducible(f, p):
-            return tuple(f)
+        if digits[0] == 0:
+            continue
+        f = UPoly(fp, digits + [1])
+        if u_factor(f)[1] == [(f, 1)]:
+            return f.coeffs
     raise AssertionError("no irreducible polynomial found")  # unreachable
 
 
@@ -246,9 +155,6 @@ class PrimeField:
     def pth_root(self, a):
         return a  # Frobenius is the identity on F_p
 
-    def encode(self, a) -> int:
-        return a
-
     def decode(self, code: int):
         return code % self.p
 
@@ -257,9 +163,6 @@ class PrimeField:
 
     def fmt(self, a) -> str:
         return str(a)
-
-    def elements(self):
-        return range(self.p)
 
     def __repr__(self):
         return self.name
@@ -280,6 +183,7 @@ class ExtensionField:
         self.one = (1,) + (0,) * (k - 1)
         # g^k expressed in lower powers
         self._top = tuple(-c % p for c in modulus[:k])
+        self._inverses: dict[tuple[int, ...], tuple[int, ...]] = {}
 
     def from_int(self, n: int):
         return (n % self.p,) + (0,) * (self.k - 1)
@@ -315,18 +219,12 @@ class ExtensionField:
     def inv(self, a):
         if a == self.zero:
             raise ZeroDivisionError(f"inverse of zero in {self.name}")
-        # extended Euclid in F_p[z] against the modulus
-        p = self.p
-        r0, r1 = list(self.modulus), _ptrim(list(a))
-        s0, s1 = [], [1]
-        while r1:
-            q, r = _pdivmod(r0, r1, p)
-            r0, r1 = r1, r
-            s0, s1 = s1, _padd(s0, [(-c) % p for c in _pmul(q, s1, p)], p)
-        lead_inv = pow(r0[-1], -1, p)
-        s0 = [c * lead_inv % p for c in s0]
-        s0 += [0] * (self.k - len(s0))
-        return tuple(s0[: self.k])
+        inverse = self._inverses.get(a)
+        if inverse is None:
+            # a^(q-1) = 1.  Resolutions invert few distinct elements many
+            # times, so each answer is kept.
+            inverse = self._inverses[a] = self.pow(a, self.order - 2)
+        return inverse
 
     def pow(self, a, e: int):
         if e < 0:
@@ -361,9 +259,6 @@ class ExtensionField:
 
     def fmt(self, a) -> str:
         return _fmt_intpoly(a, "g") if any(a) else "0"
-
-    def elements(self):
-        return (self.decode(i) for i in range(self.order))
 
     def __repr__(self):
         return self.name

@@ -6,8 +6,7 @@ lower bounds ((p-7)/12(p-3) for p >= 7, the exact value 1/32 at p = 5,
 qualitative positivity at p = 3), the ruled-surface example family whose
 chi/K^2 realizes the conjectural value, a characteristic-3 family with
 c_2/(q-1) -> -4, and assorted exact inequality checks.  Everything is
-integer or Fraction arithmetic; square-root comparisons are decided by
-sign-aware squaring.
+integer or Fraction arithmetic.
 """
 
 from __future__ import annotations
@@ -157,23 +156,6 @@ def char3_example(n: int) -> Char3Example:
     return Char3Example(n=n, q=q_minus_1 + 1, m=m, c2_upper=-4 * q_minus_1 + 3 * m)
 
 
-def canonical_map_bounds(p: int, p_g: int, kappa: Fraction) -> tuple[Fraction, Fraction]:
-    """Upper bounds from chi >= kappa c_1^2: on the genus of a canonical
-    pencil, 1 + (p_g+2)/(2 kappa (p_g-1)), and on the degree of a generically
-    finite canonical map, (p_g+1)/(kappa (p_g-2))."""
-    if p < 3:
-        raise ValueError("p must be >= 3")
-    if kappa <= 0:
-        raise ValueError("kappa must be positive")
-    if p_g < 3:
-        raise ValueError(
-            "the bounds need p_g >= 3 (the degree bound divides by p_g - 2)"
-        )
-    g_max = 1 + Fraction(p_g + 2, 1) / (2 * kappa * (p_g - 1))
-    d_max = Fraction(p_g + 1, 1) / (kappa * (p_g - 2))
-    return g_max, d_max
-
-
 @dataclass(frozen=True)
 class SlackReport:
     applicable: bool
@@ -189,32 +171,6 @@ def sb_lower_bound_check(inv: SurfaceInvariants) -> SlackReport:
     threshold = Fraction(4 * (inv.g - 1) * (inv.q - 1), 3)
     slack = inv.K2 - threshold
     return SlackReport(True, slack > 0, threshold, slack)
-
-
-def intersection_floor_check(lam: Fraction, r: int, kb: int, q: int) -> bool:
-    """Whether KB >= (sqrt(lam^2 + 8 r lam) - lam)(q-1)/2, decided exactly:
-    squaring is legitimate once both sides are known non-negative."""
-    if lam <= 0:
-        raise ValueError("lam = K^2/(q-1) must be positive")
-    if q < 2:
-        raise ValueError("q must be >= 2")
-    if r < 0:
-        raise ValueError("r must be >= 0")
-    mu = 2 * Fraction(kb, q - 1) + lam  # KB passes iff mu >= sqrt(lam^2+8r lam)
-    if mu < 0:
-        return False
-    return mu * mu >= lam * lam + 8 * r * lam
-
-
-def clifford_case(deg_d: int, h0: int, q: int) -> str:
-    """Which clause of the divisor degree dichotomy holds on a genus-q curve:
-    'case1' (deg D > 2(q-1) and deg D = h0 + q - 1), 'case2'
-    (2(h0-1) <= deg D <= 2(q-1)), else 'inconsistent'."""
-    if deg_d > 2 * (q - 1) and deg_d == h0 + q - 1:
-        return "case1"
-    if 2 * (h0 - 1) <= deg_d <= 2 * (q - 1):
-        return "case2"
-    return "inconsistent"
 
 
 def kappa_table(p_min: int, p_max: int) -> list[KappaReport]:

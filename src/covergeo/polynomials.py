@@ -93,11 +93,6 @@ class BPoly:
             raise ValueError("zero polynomial")
         return min(i for i, _ in self.terms)
 
-    def t_valuation(self) -> int:
-        if not self.terms:
-            raise ValueError("zero polynomial")
-        return min(j for _, j in self.terms)
-
     def x_degree(self) -> int:
         return max((i for i, _ in self.terms), default=-1)
 
@@ -157,15 +152,6 @@ class BPoly:
         for (i, j), c in self.terms.items():
             if i == 0:
                 out[j] = c
-        return UPoly(f, out)
-
-    def restrict_t0(self) -> UPoly:
-        f = self.field
-        deg = max((i for i, j in self.terms if j == 0), default=-1)
-        out = [f.zero] * (deg + 1)
-        for (i, j), c in self.terms.items():
-            if j == 0:
-                out[i] = c
         return UPoly(f, out)
 
     def translate_t(self, a):

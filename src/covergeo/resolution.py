@@ -217,15 +217,20 @@ def _sites_on_exceptional(strict_x: BPoly, branch_x: BPoly, strict_t: BPoly,
     Chart "x" sees every point of the line except the origin of chart "t";
     candidates are the zeros of the strict transform restricted to the line.
     ``flags`` say whether the lines x = 0 and t = 0 through the blown-up
-    point are exceptional parts of the branch.  At a site the new line is
-    one iff the multiplicity is odd, and the old line through it (t = 0 at
-    tau = 0 in chart "x", x = 0 at the origin of chart "t") keeps its flag.
-    A branch end is a regular point of the branch where the strict
-    transform meets the line, off the old lines; each conjugate counts.
+    point are exceptional.  At a site the new line is flagged, and the old
+    line through it (t = 0 at tau = 0 in chart "x", x = 0 at the origin of
+    chart "t") keeps its flag.  A branch end is a regular point of the branch
+    where the strict transform meets the line, off the old lines; each
+    conjugate counts.
+
+    Skipping ends on old lines loses no smooth branch: a smooth branch
+    meets each exceptional line transversally, so it never leaves at the
+    crossing of two of them.  A germ with a singular branch has fewer
+    branches than its multiplicity, so a lower count leaves its class as it
+    is.
     """
     fld = strict_x.field
     on_x, on_t = flags
-    new = branch_x.x_valuation() > 0  # the multiplicity is odd
     sites: list[tuple[SingularSite, tuple[bool, bool]]] = []
     ends = 0
     for local, big, tau, copies in _line_points(strict_x, branch_x):
@@ -234,13 +239,13 @@ def _sites_on_exceptional(strict_x: BPoly, branch_x: BPoly, strict_t: BPoly,
         if local is not None and local.total_valuation() >= 2:
             label = fld.fmt(tau) if big is fld else f"{big.fmt(tau)} in {big.name}"
             site = SingularSite("x", label, BranchGerm(local), copies)
-            sites.append((site, (new, old)))
+            sites.append((site, (True, old)))
         elif not old:
             ends += copies
     # origin of chart "t" = the one direction chart "x" misses
     if branch_t.total_valuation() >= 2:
         site = SingularSite("t", "0", BranchGerm(branch_t), 1)
-        sites.append((site, (on_x, new)))
+        sites.append((site, (on_x, True)))
     elif strict_t.eval_origin() == fld.zero and not on_x:
         ends += 1
     return sites, ends
@@ -341,8 +346,9 @@ def is_negligible(germ: BranchGerm, *, depth_limit: int = DEFAULT_DEPTH_LIMIT) -
 # formal branches.  The walk counts them at their ends: each branch passes
 # through a chain of blown-up points and leaves the last exceptional line it
 # meets at a point that is not blown up, where the branch divisor is regular
-# and so carries that branch alone.  The flags on each stack entry keep the
-# exceptional lines of the branch divisor out of the count.
+# and so carries that branch alone.  The flags on each stack entry mark the
+# exceptional lines through its point; no end on them is counted, which keeps
+# the exceptional lines of the branch divisor out of the count.
 
 def _resolve(b1: BranchGerm, depth_limit: int) -> tuple[list[BlowupStep], str]:
     """Blow up the reduced germ ``b1`` until its branch is regular above the

@@ -12,8 +12,6 @@ from __future__ import annotations
 import math
 from fractions import Fraction
 
-from .fields import QQ
-
 
 class UPoly:
     __slots__ = ("field", "coeffs")
@@ -36,10 +34,6 @@ class UPoly:
     @classmethod
     def var(cls, field):
         return cls(field, (field.zero, field.one))
-
-    @classmethod
-    def from_ints(cls, field, ints):
-        return cls(field, [field.from_int(n) for n in ints])
 
     @property
     def degree(self) -> int:
@@ -124,9 +118,6 @@ class UPoly:
 
     def __mod__(self, other):
         return divmod(self, other)[1]
-
-    def __floordiv__(self, other):
-        return divmod(self, other)[0]
 
     def exact_div(self, other):
         q, r = divmod(self, other)
@@ -328,7 +319,8 @@ def u_rational_roots(f: UPoly) -> tuple[list[tuple[Fraction, int]], UPoly]:
     divisor test on the primitive integer model, then each root is divided
     out to exhaustion.
     """
-    if f.field is not QQ:
+    field = f.field
+    if field.char != 0:
         raise ValueError("rational root extraction needs coefficients in Q")
     if f.is_zero():
         raise ValueError("zero polynomial")
@@ -336,7 +328,7 @@ def u_rational_roots(f: UPoly) -> tuple[list[tuple[Fraction, int]], UPoly]:
     # split off the root at 0 first
     v = f.valuation()
     if v:
-        f = UPoly(QQ, f.coeffs[v:])
+        f = UPoly(field, f.coeffs[v:])
         roots.append((Fraction(0), v))
     den = math.lcm(*(c.denominator for c in f.coeffs))
     ints = [int(c * den) for c in f.coeffs]
@@ -350,7 +342,7 @@ def u_rational_roots(f: UPoly) -> tuple[list[tuple[Fraction, int]], UPoly]:
                 val = val * r + c
             if val != 0:
                 break
-            f = f.exact_div(UPoly(QQ, (-r, Fraction(1))))
+            f = f.exact_div(UPoly(field, (-r, Fraction(1))))
             mult += 1
         if mult:
             roots.append((r, mult))

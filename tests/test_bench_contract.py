@@ -22,3 +22,16 @@ def test_traced_names_resolve_to_callables():
         for part in attr.split("."):
             target = getattr(target, part, None)
         assert callable(target), f"{module}.{attr}"
+
+
+def test_field_bench_names_exist():
+    # what the benchmark's field timings and cache ratio call
+    from covergeo import fields
+
+    assert callable(fields.extension_field.cache_info)
+    assert callable(fields.QQ.mul)
+    assert callable(fields.prime_field(13).mul)
+    fpk = fields.extension_field(13, 2)
+    assert callable(fpk.mul) and callable(fpk.decode)
+    assert fpk.inv.__name__ == "inv"
+    assert fpk.mul(fpk.decode(14), fpk.inv(fpk.decode(14))) == fpk.one

@@ -27,6 +27,38 @@ def test_minimal_irreducible_is_deterministic():
     assert len(mod) == 4 and mod[-1] == 1 and mod[0] != 0
 
 
+# Every extension label in the goldens depends on these choices.
+PINNED_MODULI = {
+    (3, 2): (1, 0, 1),
+    (3, 3): (1, 2, 0, 1),
+    (3, 4): (2, 1, 0, 0, 1),
+    (5, 3): (1, 1, 0, 1),
+    (5, 4): (2, 0, 0, 0, 1),
+    (7, 2): (1, 0, 1),
+    (7, 3): (2, 0, 0, 1),
+    (11, 2): (1, 0, 1),
+    (13, 2): (2, 0, 1),
+}
+
+
+@pytest.mark.parametrize("p,k", sorted(PINNED_MODULI))
+def test_minimal_irreducible_pinned(p, k):
+    assert minimal_irreducible(p, k) == PINNED_MODULI[(p, k)]
+    assert extension_field(p, k).modulus == PINNED_MODULI[(p, k)]
+
+
+@pytest.mark.parametrize("p,k", [(3, 2), (5, 2), (3, 3), (11, 2)])
+def test_extension_inverses_exhaustive(p, k):
+    fld = extension_field(p, k)
+    for code in range(1, fld.order):
+        a = fld.decode(code)
+        inverse = fld.inv(a)
+        assert fld.mul(a, inverse) == fld.one
+        assert fld.inv(a) == inverse
+    with pytest.raises(ZeroDivisionError):
+        fld.inv(fld.zero)
+
+
 @pytest.mark.parametrize("p,k", [(3, 2), (5, 2), (5, 3), (7, 2), (13, 2)])
 def test_extension_field_axioms(p, k):
     fld = extension_field(p, k)
@@ -47,7 +79,6 @@ def test_extension_field_axioms(p, k):
 def test_extension_field_tower_sizes():
     f25 = extension_field(5, 2)
     assert f25.order == 25
-    assert len(list(f25.elements())) == 25
     assert extension_field(5, 1) is prime_field(5)
 
 

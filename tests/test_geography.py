@@ -6,10 +6,7 @@ from covergeo.fields import primes_between
 from covergeo.geography import (
     SurfaceInvariants,
     c2_floor_check,
-    canonical_map_bounds,
     char3_example,
-    clifford_case,
-    intersection_floor_check,
     kappa_conjectural,
     kappa_limit_gap,
     kappa_proven_lower,
@@ -105,14 +102,6 @@ def test_char3_ratio_tends_to_minus_four():
     assert abs(ratios[4] + 4) < Fraction(1, 10)  # n = 6
 
 
-def test_canonical_map_bounds():
-    g_max, d_max = canonical_map_bounds(5, 3, Fraction(1, 32))
-    assert g_max == 41
-    assert d_max == 128
-    with pytest.raises(ValueError):
-        canonical_map_bounds(5, 2, Fraction(1, 32))
-
-
 def test_sb_lower_bound():
     report = sb_lower_bound_check(raynaud_invariants(7, 8))
     assert report.applicable and report.passed
@@ -125,18 +114,3 @@ def test_sb_lower_bound():
         SurfaceInvariants(p=5, K2=8, c2=0, chi=0, q=4, g=2)
     )
     assert not report.applicable
-
-
-def test_intersection_floor():
-    assert not intersection_floor_check(Fraction(6), 1, 8, 11)
-    assert intersection_floor_check(Fraction(6), 1, 2 * 1 * 10, 11)
-    assert intersection_floor_check(Fraction(6), 0, 0, 11)
-    with pytest.raises(ValueError):
-        intersection_floor_check(Fraction(0), 1, 8, 11)
-
-
-def test_clifford_cases():
-    assert clifford_case(4, 3, 2) == "case1"
-    assert clifford_case(2, 2, 2) == "case2"
-    assert clifford_case(4, 5, 2) == "inconsistent"
-

@@ -21,7 +21,7 @@ from covergeo.polynomials import (
 
 
 def upoly(field, *ints):
-    return UPoly.from_ints(field, ints)
+    return UPoly(field, [field.from_int(n) for n in ints])
 
 
 def test_factor_distinct_roots():
@@ -104,7 +104,7 @@ def test_roots_sorted_and_complete():
 
 
 def test_rational_roots():
-    f = parse_polynomial("(x-2)^2*(3*x+1)*(x^2+1)", QQ).restrict_t0()
+    f = parse_polynomial("(t-2)^2*(3*t+1)*(t^2+1)", QQ).restrict_x0()
     roots, cofactor = u_rational_roots(f)
     assert roots == [(Fraction(-1, 3), 1), (Fraction(2), 2)]
     assert cofactor.degree == 2
