@@ -100,8 +100,12 @@ class _Parser:
         if self.take("^"):
             exp = self.natural()
             out = BPoly.constant(self.field, self.field.one)
-            for _ in range(exp):
-                out = out * base
+            while exp:  # square and multiply
+                if exp & 1:
+                    out = out * base
+                exp >>= 1
+                if exp:
+                    base = base * base
             return out
         return base
 

@@ -2,13 +2,16 @@
 
 ``BPoly`` is bivariate in the local variables (x, t), stored as a sparse
 exponent map with no zero coefficients.  The univariate layer lives in
-``covergeo.univariate``; its public names are re-exported here.
+``covergeo.univariate``; its public names are re-exported here.  Over Q the
+bivariate gcd and exact division run on integer models in
+``covergeo._intpoly``.
 """
 
 from __future__ import annotations
 
 import math
 
+from ._intpoly import q_exact_div, q_gcd
 from .fields import extension_field
 from .univariate import UPoly, u_factor, u_rational_roots, u_roots, u_squarefree, ugcd  # noqa: F401
 
@@ -296,6 +299,8 @@ def b_gcd(f: BPoly, g: BPoly) -> BPoly:
     if g.is_zero():
         return b_normalize(f)
     field = f.field
+    if field.char == 0:
+        return BPoly(field, q_gcd(f.terms, g.terms))
     fa, ga = _x_list(f), _x_list(g)
     cf, cg = _xl_content(field, fa), _xl_content(field, ga)
     cont = ugcd(cf, cg)
@@ -317,6 +322,8 @@ def b_exact_div(f: BPoly, g: BPoly) -> BPoly:
         raise ZeroDivisionError("bivariate division by zero")
     if f.is_zero():
         return f
+    if field.char == 0:
+        return BPoly(field, q_exact_div(f.terms, g.terms))
     a, b = _x_list(f), _x_list(g)
     q: list[UPoly] = [UPoly.zero(field)] * max(0, len(a) - len(b) + 1)
     while a and len(a) >= len(b):

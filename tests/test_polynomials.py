@@ -4,7 +4,7 @@ from fractions import Fraction
 import pytest
 
 from covergeo.fields import QQ, extension_field, prime_field
-from covergeo.parsing import parse_polynomial
+from covergeo.parsing import parse_field_spec, parse_polynomial
 from covergeo.polynomials import (
     BPoly,
     UPoly,
@@ -132,18 +132,20 @@ def test_bivariate_squarefree_frobenius_power():
     assert [(g.fmt(), e) for g, e in b_squarefree(f)] == [("x + 4*t", 5)]
 
 
-def test_bivariate_squarefree_reassembly_and_coprimality():
+@pytest.mark.parametrize("spec", ["F7", "Q"])
+def test_bivariate_squarefree_reassembly_and_coprimality(spec):
     rng = random.Random(42)
-    f7 = prime_field(7)
-    x, t = BPoly.var_x(f7), BPoly.var_t(f7)
-    lines = [x, t, x - t, x + t, x - t * t, x * x - t * t * t]
+    fld = parse_field_spec(spec)
+    x, t = BPoly.var_x(fld), BPoly.var_t(fld)
+    lines = [x, t, x - t, x + t, x - t * t, x * x - t * t * t,
+             x - t.scale(fld.inv(fld.from_int(2)))]
     for _ in range(20):
-        f = BPoly.constant(f7, f7.from_int(rng.randrange(1, 7)))
+        f = BPoly.constant(fld, fld.from_int(rng.randrange(1, 7)))
         for g in rng.sample(lines, rng.randint(1, 4)):
             for _ in range(rng.randint(1, 3)):
                 f = f * g
         parts = b_squarefree(f)
-        prod = BPoly.constant(f7, f7.one)
+        prod = BPoly.constant(fld, fld.one)
         for g, e in parts:
             for _ in range(e):
                 prod = prod * g
@@ -153,18 +155,100 @@ def test_bivariate_squarefree_reassembly_and_coprimality():
                 assert b_gcd(parts[i][0], parts[j][0]).is_constant()
 
 
-def test_bivariate_exact_division():
-    f5 = prime_field(5)
-    f = parse_polynomial("(x^2-t^3)*(x+4*t)", f5)
-    g = parse_polynomial("x+4*t", f5)
-    assert b_exact_div(f, g) == parse_polynomial("x^2-t^3", f5)
-    with pytest.raises(ValueError):
-        b_exact_div(parse_polynomial("x^2-t^3", f5), g)
+@pytest.mark.parametrize("spec", ["F5", "Q"])
+def test_bivariate_exact_division(spec):
+    fld = parse_field_spec(spec)
+    f = parse_polynomial("(x^2-t^3)*(x+4*t)", fld)
+    g = parse_polynomial("x+4*t", fld)
+    assert b_exact_div(f, g) == parse_polynomial("x^2-t^3", fld)
+    # non-integer coefficients over Q: 3/7 (x^2 - t^3) times x - t/2
+    three_sevenths = fld.mul(fld.from_int(3), fld.inv(fld.from_int(7)))
+    h = parse_polynomial("x^2-t^3", fld).scale(three_sevenths)
+    g = BPoly.var_x(fld) - BPoly.var_t(fld).scale(fld.inv(fld.from_int(2)))
+    assert b_exact_div(h * g, g) == h
+    assert b_exact_div(h * g, h) == g
+    t2 = parse_polynomial("t^2", fld)
+    assert b_exact_div(h * g * g * t2, (g * t2).scale(three_sevenths)) == (
+        parse_polynomial("x^2-t^3", fld) * g)
+    for num, den in [("x^2-t^3", "x+4*t"), ("x^2+t", "t"), ("x*t", "2*x^2"),
+                     ("t^2*x", "t*x+1")]:
+        with pytest.raises(ValueError):
+            b_exact_div(parse_polynomial(num, fld), parse_polynomial(den, fld))
 
 
 def test_bivariate_zero_rejected():
     with pytest.raises(ValueError):
         b_squarefree(BPoly.zero(QQ))
+
+
+def _random_product(rng, fld, factors):
+    """A seeded product of 1-3 of the given factors, each to a power 1-2,
+    times a small nonzero constant."""
+    f = BPoly.constant(fld, fld.mul(fld.from_int(rng.choice([1, 2, 3])),
+                                    fld.inv(fld.from_int(rng.choice([1, 2, 3])))))
+    for g in rng.sample(factors, rng.randint(1, 3)):
+        for _ in range(rng.randint(1, 2)):
+            f = f * g
+    return f
+
+
+def _random_factors(rng, fld, count):
+    out = []
+    while len(out) < count:
+        terms = {}
+        for _ in range(rng.randint(2, 4)):
+            i = rng.randint(0, 2)
+            j = rng.randint(0 if i else 1, 2)
+            num, den = rng.choice([-3, -2, -1, 1, 2, 3]), rng.choice([1, 1, 2, 3])
+            terms[(i, j)] = fld.mul(fld.from_int(num), fld.inv(fld.from_int(den)))
+        g = BPoly(fld, terms)
+        if not g.is_constant():
+            out.append(g)
+    return out
+
+
+@pytest.mark.parametrize("spec", ["Q", "F7"])
+def test_bivariate_gcd_and_squarefree_against_sympy(spec):
+    sympy = pytest.importorskip("sympy")
+    fld = parse_field_spec(spec)
+    domain = sympy.QQ if fld.char == 0 else sympy.GF(fld.char)
+
+    def to_sympy(f):
+        return sympy.Poly.from_dict(
+            {e: sympy.Rational(int(c.numerator), int(c.denominator)) for e, c in f.terms.items()},
+            sympy.symbols("x t"), domain=domain)
+
+    def from_sympy(poly):
+        terms = {}
+        for e, c in poly.terms():
+            c = sympy.Rational(int(c)) if fld.char else sympy.Rational(c)
+            terms[e] = fld.mul(fld.from_int(int(c.p)), fld.inv(fld.from_int(int(c.q))))
+        return b_normalize(BPoly(fld, terms))
+
+    rng = random.Random(8)
+    for _ in range(25):
+        factors = _random_factors(rng, fld, 4)
+        f, g = _random_product(rng, fld, factors), _random_product(rng, fld, factors)
+        assert b_gcd(f, g) == from_sympy(to_sympy(f).gcd(to_sympy(g)))
+        if fld.char == 0:  # sympy's bivariate sqf_list needs characteristic 0
+            parts: dict = {}
+            for h, e in to_sympy(f).sqf_list()[1]:
+                parts[e] = parts.get(e, BPoly.constant(fld, fld.one)) * from_sympy(h)
+            assert b_squarefree(f) == sorted(
+                ((b_normalize(h), e) for e, h in parts.items()),
+                key=lambda he: (he[1], he[0].sort_key()))
+
+
+@pytest.mark.parametrize("spec,exponents", [("Q", (0, 1, 2, 5, 12)),
+                                            ("F7", (0, 1, 3, 7, 8, 22))])
+def test_parsed_power_is_repeated_product(spec, exponents):
+    fld = parse_field_spec(spec)
+    base = parse_polynomial("2*x - 3*t^2 + 1", fld)
+    product = BPoly.constant(fld, fld.one)
+    for n in range(max(exponents) + 1):
+        if n in exponents:
+            assert parse_polynomial(f"(2*x - 3*t^2 + 1)^{n}", fld) == product
+        product = product * base
 
 
 def test_extension_embedding_is_homomorphism():

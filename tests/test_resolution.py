@@ -1,5 +1,6 @@
 import math
 import random
+import signal
 
 import pytest
 
@@ -205,6 +206,27 @@ def test_is_negligible_raises_what_resolution_raises():
             canonical_resolution(germ(expr))
         with pytest.raises(IrrationalPointError):
             is_negligible(germ(expr))
+
+
+def test_resolution_dense_q_germ_is_fast():
+    # Euclid over Fractions in the bivariate gcd took minutes on this germ;
+    # the alarm turns a relapse into a failure instead of a hang.
+    g = germ("3*(t + 3*x^2)*(t^4 + x^3)"
+             "*(3*t^4 - 2*t^3*x + t^3 + 2*t^2 + t*x^3 - 3*t*x^2 + t + 2*x^4)")
+
+    def too_slow(*_):
+        raise TimeoutError("dense germ over Q took over 10 s")
+
+    previous = signal.signal(signal.SIGALRM, too_slow)
+    signal.alarm(10)
+    try:
+        parts = b_squarefree(g.poly)
+        trace = canonical_resolution(g)
+    finally:
+        signal.alarm(0)
+        signal.signal(signal.SIGALRM, previous)
+    assert [e for _, e in parts] == [1]  # sympy's sqf_list agrees
+    assert (trace.xi, trace.k2_defect, trace.negligible) == (1, 2, NOT_NEGLIGIBLE)
 
 
 def test_resolution_wild_branch():
