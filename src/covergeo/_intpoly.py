@@ -1,11 +1,11 @@
-"""Bivariate gcd and exact division over Q on integer models.
+"""Z[t] on int lists: the coefficient ring of the bivariate model over Q.
 
-Over Q, ``polynomials.b_gcd`` and ``b_exact_div`` hand their term maps
-({(i, j): Fraction}) to this module.  Each call clears denominators once
-and holds the polynomial as an x-list of Z[t] int lists (increasing degree,
-no trailing zeros, [] is 0).  Every step then runs on Python ints, which
-keeps the coefficients free of the growth of Euclid over Fractions;
-Fractions are built only for the answer.
+Over Q, ``polynomials.b_gcd`` and ``b_exact_div`` clear denominators once
+per call (``int_x_list``) and run their x-list remainder sequence and long
+division on x-lists of Z[t] int lists (increasing degree, no trailing zeros,
+[] is 0) with ``ZT`` as the coefficient ring.  Every step then runs on
+Python ints, which keeps the coefficients free of the growth of Euclid over
+Fractions; Fractions are built only for the answer (``q_terms``).
 """
 
 from __future__ import annotations
@@ -101,6 +101,8 @@ def _z_gcd(a: list[int], b: list[int]) -> list[int]:
         c = a or b
         return [-v for v in c] if c and c[-1] < 0 else list(c)
     cont = math.gcd(_gcd(a), _gcd(b))
+    if len(a) == 1 or len(b) == 1:
+        return [cont]
     a, b = _z_primitive(a), _z_primitive(b)
     if len(a) < len(b):
         a, b = b, a
@@ -111,11 +113,28 @@ def _z_gcd(a: list[int], b: list[int]) -> list[int]:
     return [cont * v for v in a]
 
 
+class ZT:
+    """Z[t] as the coefficient ring of an x-list, used as the class itself."""
+
+    zero: list[int] = []
+    one = [1]
+    mul = staticmethod(_z_mul)
+    sub = staticmethod(_z_sub)
+    exact_div = staticmethod(_z_exact_div)
+    gcd = staticmethod(_z_gcd)
+
+    @staticmethod
+    def lead_multipliers(lead_a: list[int], lead_b: list[int]):
+        # lead_b and lead_a over the gcd of their integer contents
+        g = math.gcd(_gcd(lead_a), _gcd(lead_b))
+        return [c // g for c in lead_b], [c // g for c in lead_a]
+
+
 # ---------------------------------------------------------------------------
-# Z[t][x] as x-lists of Z[t] int lists.
+# Conversions between Q[x, t] term maps and Z[t][x] x-lists.
 
 
-def _x_list(terms: dict) -> tuple[list[list[int]], int]:
+def int_x_list(terms: dict) -> tuple[list[list[int]], int]:
     """(F, d): F = d*f in Z[t][x] for the nonzero f with these terms."""
     den = reduce(math.lcm, (c.denominator for c in terms.values()), 1)
     xs: list[list[int]] = [[] for _ in range(max(i for i, _ in terms) + 1)]
@@ -127,89 +146,7 @@ def _x_list(terms: dict) -> tuple[list[list[int]], int]:
     return xs, den
 
 
-def _terms(xs: list[list[int]], num: int, den: int) -> dict:
+def q_terms(xs: list[list[int]], num: int, den: int) -> dict:
     """The terms of (num/den) * xs over Q."""
     return {(i, j): Fraction(num * c, den)
             for i, u in enumerate(xs) for j, c in enumerate(u) if c}
-
-
-def _trim(xs: list[list[int]]) -> list[list[int]]:
-    while xs and not xs[-1]:
-        xs.pop()
-    return xs
-
-
-def _content(xs: list[list[int]]) -> list[int]:
-    g: list[int] = []
-    for u in xs:
-        g = _z_gcd(g, u)
-        if len(g) == 1:  # no common factor in t: only the integer content
-            return [_gcd(c for v in xs for c in v)]
-    return g
-
-
-def _primitive(xs: list[list[int]]) -> list[list[int]]:
-    cont = _content(xs)
-    if cont == [1]:
-        return xs
-    return [_z_exact_div(u, cont) for u in xs]
-
-
-def _pseudo_rem(a: list[list[int]], b: list[list[int]]) -> list[list[int]]:
-    # a remainder of a modulo b up to a nonzero factor in Z[t]
-    a = list(a)
-    db = len(b) - 1
-    while len(a) > db:
-        g = math.gcd(_gcd(a[-1]), _gcd(b[-1]))
-        ma, mb = [c // g for c in b[-1]], [c // g for c in a[-1]]
-        shift = len(a) - 1 - db
-        if ma != [1]:
-            a = [_z_mul(u, ma) for u in a]
-        for i in range(db + 1):
-            a[shift + i] = _z_sub(a[shift + i], _z_mul(mb, b[i]))
-        _trim(a)
-    return a
-
-
-def q_gcd(f: dict, g: dict) -> dict:
-    """The terms of gcd(f, g) in Q[x, t] for nonzero f and g, scaled so the
-    lexicographically greatest monomial has coefficient 1: the primitive
-    remainder sequence (Collins, J. ACM 14, 1967) over Z[t]."""
-    a, b = _x_list(f)[0], _x_list(g)[0]
-    cont = _z_gcd(_content(a), _content(b))
-    a, b = _primitive(a), _primitive(b)
-    if len(a) < len(b):
-        a, b = b, a
-    while b:
-        r = _pseudo_rem(a, b)
-        a, b = b, (_primitive(r) if r else [])
-    a = [_z_mul(u, cont) for u in a]
-    return _terms(a, 1, a[-1][-1])
-
-
-def q_exact_div(f: dict, g: dict) -> dict:
-    """The terms of f / g in Q[x, t] for nonzero f and g; raises ValueError
-    if g does not divide f."""
-    # Gauss's lemma: the primitive part P of G = d_g*g divides F = d_f*f in
-    # Z[t][x] if g divides f, and the Z[t] content c*c_t of G, with c an
-    # integer and c_t primitive, leaves f/g = d_g*(F/P)/c_t / (d_f*c).
-    a, den_f = _x_list(f)
-    b, den_g = _x_list(g)
-    cont = _content(b)
-    if cont != [1]:
-        b = [_z_exact_div(u, cont) for u in b]
-    q: list[list[int]] = [[] for _ in range(max(0, len(a) - len(b) + 1))]
-    while len(a) >= len(b):
-        qc = _z_exact_div(a[-1], b[-1])
-        shift = len(a) - len(b)
-        q[shift] = qc
-        for i in range(len(b)):
-            a[shift + i] = _z_sub(a[shift + i], _z_mul(qc, b[i]))
-        _trim(a)
-    if a:
-        raise ValueError("inexact bivariate division")
-    c = _gcd(cont)
-    if len(cont) > 1:
-        c_t = [v // c for v in cont]
-        q = [_z_exact_div(u, c_t) for u in q]
-    return _terms(q, den_g, den_f * c)

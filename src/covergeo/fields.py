@@ -287,7 +287,7 @@ def prime_field(p: int) -> PrimeField:
     if p == 2:
         raise ValueError("characteristic 2 is not supported")
     if not is_prime(p):
-        raise ValueError(f"{p} is not prime")
+        raise ValueError(f"field characteristic {p} is not prime")
     return PrimeField(p)
 
 

@@ -7,16 +7,21 @@ Germ grammar (whitespace insensitive, integer coefficients only):
     factor := atom ('^' natural)?
     atom   := natural | 'x' | 't' | '(' expr ')'
 
-Field specs are "Q" for the rationals or "F<p>" / "F<p>^<k>" for F_{p^k},
-p an odd prime.
+The total degree of every product and power is at most MAX_DEGREE; the
+check comes before the expansion.  Field specs are "Q" for the rationals or
+"F<p>" / "F<p>^<k>" for F_{p^k}, p an odd prime.
 """
 
 from __future__ import annotations
 
 import re
 
-from .fields import QQ, extension_field, is_prime
+from .fields import QQ, extension_field
 from .polynomials import BPoly
+
+
+# admits every germ of the tests and the benchmark, the longest being t^2100
+MAX_DEGREE = 10_000
 
 
 class ParseError(ValueError):
@@ -34,15 +39,7 @@ def parse_field_spec(spec: str):
         raise ValueError(
             f"bad field spec {spec!r}: expected Q, F<p> or F<p>^<k>"
         )
-    p = int(m.group(1))
-    k = int(m.group(2)) if m.group(2) else 1
-    if p == 2:
-        raise ValueError("characteristic 2 is not supported")
-    if not is_prime(p):
-        raise ValueError(f"field characteristic {p} is not prime")
-    if k < 1:
-        raise ValueError("extension degree must be >= 1")
-    return extension_field(p, k)
+    return extension_field(int(m.group(1)), int(m.group(2) or 1))
 
 
 class _Parser:
@@ -53,6 +50,10 @@ class _Parser:
 
     def error(self, message: str):
         raise ParseError(message, self.pos)
+
+    def check_degree(self, degree: int):
+        if degree > MAX_DEGREE:
+            self.error(f"total degree {degree} exceeds the bound {MAX_DEGREE}")
 
     def skip_ws(self):
         while self.pos < len(self.text) and self.text[self.pos].isspace():
@@ -92,13 +93,16 @@ class _Parser:
             negate = not negate
         value = self.factor()
         while self.take("*"):
-            value = value * self.factor()
+            rhs = self.factor()
+            self.check_degree(_degree(value) + _degree(rhs))
+            value = value * rhs
         return -value if negate else value
 
     def factor(self) -> BPoly:
         base = self.atom()
         if self.take("^"):
             exp = self.natural()
+            self.check_degree(_degree(base) * exp)
             out = BPoly.constant(self.field, self.field.one)
             while exp:  # square and multiply
                 if exp & 1:
@@ -135,6 +139,10 @@ class _Parser:
         if start == self.pos:
             self.error("expected a number")
         return int(self.text[start:self.pos])
+
+
+def _degree(f: BPoly) -> int:
+    return max((i + j for i, j in f.terms), default=0)
 
 
 def parse_polynomial(text: str, field) -> BPoly:

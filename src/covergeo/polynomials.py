@@ -2,16 +2,16 @@
 
 ``BPoly`` is bivariate in the local variables (x, t), stored as a sparse
 exponent map with no zero coefficients.  The univariate layer lives in
-``covergeo.univariate``; its public names are re-exported here.  Over Q the
-bivariate gcd and exact division run on integer models in
-``covergeo._intpoly``.
+``covergeo.univariate``; its public names are re-exported here.  The
+bivariate gcd and exact division run one x-list core over D[t]: D = Z over Q,
+after clearing denominators (``covergeo._intpoly``), and D = F_q over F_q.
 """
 
 from __future__ import annotations
 
 import math
 
-from ._intpoly import q_exact_div, q_gcd
+from ._intpoly import ZT, _z_primitive, int_x_list, q_terms
 from .fields import extension_field
 from .univariate import UPoly, u_factor, u_rational_roots, u_roots, u_squarefree, ugcd  # noqa: F401
 
@@ -222,66 +222,112 @@ class BPoly:
 
 # ---------------------------------------------------------------------------
 # Bivariate gcd, exact division and squarefree decomposition, via the
-# x-major view: a polynomial in x whose coefficients live in F[t].
+# x-major view: an x-list is a polynomial in x (increasing degree, no
+# trailing zeros) whose coefficients lie in D[t].  The core below is written
+# once against a coefficient ring: ``_intpoly.ZT`` (Z[t] on int lists, the
+# model over Q) or ``_FqT`` (F_q[t] on UPoly).  A ring gives zero, one, mul,
+# sub, exact_div (ValueError if inexact), gcd (normalized, so a unit gcd is
+# one) and lead_multipliers(lead_a, lead_b) = (m_a, m_b) with
+# m_a*lead_a = m_b*lead_b.
+
+
+class _FqT:
+    """F_q[t] on UPoly as the coefficient ring of an x-list."""
+
+    mul = staticmethod(UPoly.__mul__)
+    sub = staticmethod(UPoly.__sub__)
+    exact_div = staticmethod(UPoly.exact_div)
+
+    def __init__(self, field):
+        self.zero = UPoly.zero(field)
+        self.one = UPoly.constant(field, field.one)
+
+    @staticmethod
+    def gcd(a: UPoly, b: UPoly) -> UPoly:
+        return ugcd(a, b)  # by module name, which the benchmark tracer wraps
+
+    @staticmethod
+    def lead_multipliers(lead_a: UPoly, lead_b: UPoly):
+        return lead_b, lead_a
 
 
 def _x_list(f: BPoly) -> list[UPoly]:
-    n = f.x_degree()
-    cols: list[dict] = [dict() for _ in range(n + 1)]
-    for (i, j), c in f.terms.items():
-        cols[i][j] = c
-    out = []
     fld = f.field
-    for col in cols:
-        deg = max(col, default=-1)
-        cs = [fld.zero] * (deg + 1)
-        for j, c in col.items():
-            cs[j] = c
-        out.append(UPoly(fld, cs))
-    return out
+    cols: list[list] = [[] for _ in range(f.x_degree() + 1)]
+    for (i, j), c in f.terms.items():
+        u = cols[i]
+        if len(u) <= j:
+            u.extend([fld.zero] * (j + 1 - len(u)))
+        u[j] = c
+    return [UPoly(fld, u) for u in cols]
 
 
 def _from_x_list(field, xs: list[UPoly]) -> BPoly:
-    terms = {}
-    for i, u in enumerate(xs):
-        for j, c in enumerate(u.coeffs):
-            if c != field.zero:
-                terms[(i, j)] = c
-    return BPoly(field, terms)
+    return BPoly(field, {(i, j): c for i, u in enumerate(xs) for j, c in enumerate(u.coeffs)})
 
 
-def _xl_trim(xs: list[UPoly]) -> list[UPoly]:
-    while xs and xs[-1].is_zero():
+def _trim(xs: list) -> list:
+    while xs and not xs[-1]:
         xs.pop()
     return xs
 
 
-def _xl_content(field, xs: list[UPoly]) -> UPoly:
-    g = UPoly.zero(field)
+def _primitive(ring, xs: list) -> tuple:
+    """(content, primitive part) of a nonzero x-list; the content fold skips
+    zero coefficients and stops at a unit."""
+    cont = ring.zero
     for u in xs:
-        g = ugcd(g, u)
-    return g
+        if u:
+            cont = ring.gcd(cont, u)
+            if cont == ring.one:
+                return cont, xs
+    return cont, [ring.exact_div(u, cont) for u in xs]
 
 
-def _xl_primitive(field, xs: list[UPoly]) -> list[UPoly]:
-    cont = _xl_content(field, xs)
-    if cont.is_zero() or cont.degree == 0:  # gcd is monic, so a constant is 1
-        return list(xs)
-    return [u.exact_div(cont) for u in xs]
-
-
-def _xl_pseudo_rem(field, a: list[UPoly], b: list[UPoly]) -> list[UPoly]:
+def _pseudo_rem(ring, a: list, b: list) -> list:
+    # a remainder of a modulo b up to a nonzero factor in D[t]
+    mul, sub = ring.mul, ring.sub
     a = list(a)
     db = len(b) - 1
-    lead_b = b[-1]
-    while len(a) - 1 >= db and a:
-        lead_a = a[-1]
+    while len(a) > db:
+        ma, mb = ring.lead_multipliers(a[-1], b[-1])
         shift = len(a) - 1 - db
-        a = [u * lead_b for u in a]
+        if ma != ring.one:
+            a = [mul(u, ma) for u in a]
         for i in range(db + 1):
-            a[shift + i] = a[shift + i] - lead_a * b[i]
-        _xl_trim(a)
+            a[shift + i] = sub(a[shift + i], mul(mb, b[i]))
+        _trim(a)
     return a
+
+
+def _xl_gcd(ring, a: list, b: list) -> list:
+    """Gcd of nonzero x-lists: the primitive remainder sequence (Collins,
+    J. ACM 14, 1967) times the gcd of the contents."""
+    ca, a = _primitive(ring, a)
+    cb, b = _primitive(ring, b)
+    cont = ring.gcd(ca, cb)
+    if len(a) < len(b):
+        a, b = b, a
+    while b:
+        r = _pseudo_rem(ring, a, b)
+        a, b = b, (_primitive(ring, r)[1] if r else [])
+    return [ring.mul(u, cont) for u in a]
+
+
+def _xl_div(ring, a: list, b: list) -> list:
+    """a / b for x-lists, consuming a; raises ValueError unless b divides a."""
+    mul, sub = ring.mul, ring.sub
+    q = [ring.zero] * max(0, len(a) - len(b) + 1)
+    while len(a) >= len(b):
+        qc = ring.exact_div(a[-1], b[-1])
+        shift = len(a) - len(b)
+        q[shift] = qc
+        for i in range(len(b)):
+            a[shift + i] = sub(a[shift + i], mul(qc, b[i]))
+        _trim(a)
+    if a:
+        raise ValueError("inexact bivariate division")
+    return q
 
 
 def b_normalize(f: BPoly) -> BPoly:
@@ -300,19 +346,10 @@ def b_gcd(f: BPoly, g: BPoly) -> BPoly:
         return b_normalize(f)
     field = f.field
     if field.char == 0:
-        return BPoly(field, q_gcd(f.terms, g.terms))
-    fa, ga = _x_list(f), _x_list(g)
-    cf, cg = _xl_content(field, fa), _xl_content(field, ga)
-    cont = ugcd(cf, cg)
-    a, b = _xl_primitive(field, fa), _xl_primitive(field, ga)
-    if len(a) < len(b):
-        a, b = b, a
-    while b:
-        r = _xl_trim(_xl_pseudo_rem(field, a, b))
-        a, b = b, (_xl_primitive(field, r) if r else [])
-    prim = _from_x_list(field, a)
-    cont_b = BPoly(field, {(0, j): c for j, c in enumerate(cont.coeffs)})
-    return b_normalize(prim * cont_b)
+        d = _xl_gcd(ZT, int_x_list(f.terms)[0], int_x_list(g.terms)[0])
+        return BPoly(field, q_terms(d, 1, d[-1][-1]))
+    d = _xl_gcd(_FqT(field), _x_list(f), _x_list(g))
+    return b_normalize(_from_x_list(field, d))
 
 
 def b_exact_div(f: BPoly, g: BPoly) -> BPoly:
@@ -323,19 +360,18 @@ def b_exact_div(f: BPoly, g: BPoly) -> BPoly:
     if f.is_zero():
         return f
     if field.char == 0:
-        return BPoly(field, q_exact_div(f.terms, g.terms))
-    a, b = _x_list(f), _x_list(g)
-    q: list[UPoly] = [UPoly.zero(field)] * max(0, len(a) - len(b) + 1)
-    while a and len(a) >= len(b):
-        qc = a[-1].exact_div(b[-1])
-        shift = len(a) - len(b)
-        q[shift] = qc
-        for i in range(len(b)):
-            a[shift + i] = a[shift + i] - qc * b[i]
-        _xl_trim(a)
-    if a:
-        raise ValueError("inexact bivariate division")
-    return _from_x_list(field, q)
+        # Gauss's lemma: the primitive part P of G = d_g*g divides F = d_f*f
+        # in Z[t][x] if g divides f, and the Z[t] content c*c_t of G, with c
+        # an integer and c_t primitive, leaves f/g = d_g*(F/P)/c_t / (d_f*c).
+        a, den_f = int_x_list(f.terms)
+        b, den_g = int_x_list(g.terms)
+        cont, b = _primitive(ZT, b)
+        q = _xl_div(ZT, a, b)
+        c_t = _z_primitive(cont)
+        if len(c_t) > 1:
+            q = [ZT.exact_div(u, c_t) for u in q]
+        return BPoly(field, q_terms(q, den_g, den_f * (cont[-1] // c_t[-1])))
+    return _from_x_list(field, _xl_div(_FqT(field), _x_list(f), _x_list(g)))
 
 
 def b_pth_root(f: BPoly) -> BPoly:

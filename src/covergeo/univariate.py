@@ -42,6 +42,9 @@ class UPoly:
     def is_zero(self) -> bool:
         return not self.coeffs
 
+    def __bool__(self) -> bool:
+        return bool(self.coeffs)
+
     def is_constant(self) -> bool:
         return len(self.coeffs) <= 1
 

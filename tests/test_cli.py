@@ -1,5 +1,6 @@
 import io
 import json
+import signal
 from contextlib import redirect_stderr, redirect_stdout
 from pathlib import Path
 
@@ -49,10 +50,28 @@ def test_resolve_parse_error_exit_2():
 
 
 def test_resolve_bad_field_exit_2():
-    code, _, err = run_cli(["resolve", "x*t", "--field", "F4"])
-    assert code == 2
-    code, _, err = run_cli(["resolve", "x*t", "--field", "F2"])
-    assert code == 2
+    for spec in ("F4", "F2", "F9", "F5^0"):
+        code, _, err = run_cli(["resolve", "x*t", "--field", spec])
+        assert code == 2
+        assert len(err.splitlines()) == 1, spec
+
+
+def test_resolve_degree_bound_exit_2():
+    # checked before x^100000000 is expanded: an x-list of that degree would
+    # need gigabytes
+    def too_slow(*_):
+        raise TimeoutError("the degree bound was not checked while parsing")
+
+    previous = signal.signal(signal.SIGALRM, too_slow)
+    signal.alarm(3)
+    try:
+        code, out, err = run_cli(["resolve", "x^100000000 - t^3", "--field", "F5"])
+    finally:
+        signal.alarm(0)
+        signal.signal(signal.SIGALRM, previous)
+    assert code == 2 and out == ""
+    assert err.splitlines() == [
+        "covergeo resolve: total degree 100000000 exceeds the bound 10000 (at position 11)"]
 
 
 def test_resolve_depth_guard_exit_1():

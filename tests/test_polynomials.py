@@ -1,10 +1,11 @@
 import random
+import signal
 from fractions import Fraction
 
 import pytest
 
 from covergeo.fields import QQ, extension_field, prime_field
-from covergeo.parsing import parse_field_spec, parse_polynomial
+from covergeo.parsing import MAX_DEGREE, ParseError, parse_field_spec, parse_polynomial
 from covergeo.polynomials import (
     BPoly,
     UPoly,
@@ -132,7 +133,7 @@ def test_bivariate_squarefree_frobenius_power():
     assert [(g.fmt(), e) for g, e in b_squarefree(f)] == [("x + 4*t", 5)]
 
 
-@pytest.mark.parametrize("spec", ["F7", "Q"])
+@pytest.mark.parametrize("spec", ["F7", "F7^2", "Q"])
 def test_bivariate_squarefree_reassembly_and_coprimality(spec):
     rng = random.Random(42)
     fld = parse_field_spec(spec)
@@ -155,7 +156,7 @@ def test_bivariate_squarefree_reassembly_and_coprimality(spec):
                 assert b_gcd(parts[i][0], parts[j][0]).is_constant()
 
 
-@pytest.mark.parametrize("spec", ["F5", "Q"])
+@pytest.mark.parametrize("spec", ["F5", "F5^2", "Q"])
 def test_bivariate_exact_division(spec):
     fld = parse_field_spec(spec)
     f = parse_polynomial("(x^2-t^3)*(x+4*t)", fld)
@@ -174,6 +175,25 @@ def test_bivariate_exact_division(spec):
                      ("t^2*x", "t*x+1")]:
         with pytest.raises(ValueError):
             b_exact_div(parse_polynomial(num, fld), parse_polynomial(den, fld))
+
+
+def test_bivariate_squarefree_sparse_content_is_fast():
+    # the content of x^1500 + t^1500 in F[t] folds over 1,499 zero
+    # x-coefficients; making the running gcd monic at each of them took 11 s
+    fld = parse_field_spec("F7^2")
+    f = parse_polynomial("x^1500 + t^1500", fld)
+
+    def too_slow(*_):
+        raise TimeoutError("squarefree part of x^1500 + t^1500 took over 3 s")
+
+    previous = signal.signal(signal.SIGALRM, too_slow)
+    signal.alarm(3)
+    try:
+        parts = b_squarefree(f)
+    finally:
+        signal.alarm(0)
+        signal.signal(signal.SIGALRM, previous)
+    assert parts == [(f, 1)]
 
 
 def test_bivariate_zero_rejected():
@@ -249,6 +269,16 @@ def test_parsed_power_is_repeated_product(spec, exponents):
         if n in exponents:
             assert parse_polynomial(f"(2*x - 3*t^2 + 1)^{n}", fld) == product
         product = product * base
+
+
+def test_parse_degree_bound():
+    fld = parse_field_spec("F5")
+    half = MAX_DEGREE // 2
+    assert parse_polynomial(f"x^{half} * t^{half}", fld).total_valuation() == MAX_DEGREE
+    assert parse_polynomial(f"(x + t)^{MAX_DEGREE}", fld).total_valuation() == MAX_DEGREE
+    for text in (f"x^{half} * t^{half + 1}", f"(x + t^2)^{half + 1}", "x^100000000"):
+        with pytest.raises(ParseError, match=f"exceeds the bound {MAX_DEGREE}"):
+            parse_polynomial(text, fld)
 
 
 def test_extension_embedding_is_homomorphism():
