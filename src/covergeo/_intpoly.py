@@ -124,6 +124,10 @@ class ZT:
     gcd = staticmethod(_z_gcd)
 
     @staticmethod
+    def normalize(a: list[int]) -> list[int]:
+        return [-v for v in a] if a[-1] < 0 else a
+
+    @staticmethod
     def lead_multipliers(lead_a: list[int], lead_b: list[int]):
         # lead_b and lead_a over the gcd of their integer contents
         g = math.gcd(_gcd(lead_a), _gcd(lead_b))

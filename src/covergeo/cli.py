@@ -21,6 +21,7 @@ from .reports import Report
 from .resolution import (
     DEFAULT_DEPTH_LIMIT,
     BranchGerm,
+    ExtensionDegreeError,
     IrrationalPointError,
     ResolutionDepthError,
     canonical_resolution,
@@ -118,7 +119,7 @@ def cmd_resolve(args) -> int:
         trace = canonical_resolution(
             BranchGerm(poly), depth_limit=args.depth_limit
         )
-    except (ResolutionDepthError, IrrationalPointError) as exc:
+    except (ResolutionDepthError, IrrationalPointError, ExtensionDegreeError) as exc:
         print(f"covergeo resolve: {exc}", file=sys.stderr)
         return 1
     report.add("germ", "input", trace.input_equation)

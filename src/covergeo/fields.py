@@ -282,10 +282,20 @@ def _fmt_intpoly(coeffs, var: str) -> str:
 QQ = RationalField()
 
 
+# is_prime divides by every odd number up to sqrt(p): about 23,000 trial
+# divisions at this bound, which admits every prime the CLI, the verify
+# suites, the tests and the benchmark use
+MAX_CHARACTERISTIC = 2**31 - 1
+
+
 @functools.lru_cache(maxsize=None)
 def prime_field(p: int) -> PrimeField:
     if p == 2:
         raise ValueError("characteristic 2 is not supported")
+    if p > MAX_CHARACTERISTIC:
+        raise ValueError(
+            f"field characteristic {p} exceeds the bound {MAX_CHARACTERISTIC}"
+        )
     if not is_prime(p):
         raise ValueError(f"field characteristic {p} is not prime")
     return PrimeField(p)

@@ -119,34 +119,6 @@ class BPoly:
                     out[(i, j - 1)] = d
         return BPoly(f, out)
 
-    def subst_x_xt(self):
-        """Total transform in the chart x = x, t = x*t."""
-        f = self.field
-        out: dict = {}
-        for (i, j), c in self.terms.items():
-            e = (i + j, j)
-            out[e] = f.add(out.get(e, f.zero), c)
-        return BPoly(f, out)
-
-    def subst_xt_t(self):
-        """Total transform in the chart x = x*t, t = t."""
-        f = self.field
-        out: dict = {}
-        for (i, j), c in self.terms.items():
-            e = (i, i + j)
-            out[e] = f.add(out.get(e, f.zero), c)
-        return BPoly(f, out)
-
-    def divide_x_power(self, m: int):
-        if any(i < m for i, _ in self.terms):
-            raise ValueError("not divisible by the requested power of x")
-        return BPoly(self.field, {(i - m, j): c for (i, j), c in self.terms.items()})
-
-    def divide_t_power(self, m: int):
-        if any(j < m for _, j in self.terms):
-            raise ValueError("not divisible by the requested power of t")
-        return BPoly(self.field, {(i, j - m): c for (i, j), c in self.terms.items()})
-
     def restrict_x0(self) -> UPoly:
         """The univariate polynomial f(0, t)."""
         f = self.field
@@ -227,8 +199,8 @@ class BPoly:
 # once against a coefficient ring: ``_intpoly.ZT`` (Z[t] on int lists, the
 # model over Q) or ``_FqT`` (F_q[t] on UPoly).  A ring gives zero, one, mul,
 # sub, exact_div (ValueError if inexact), gcd (normalized, so a unit gcd is
-# one) and lead_multipliers(lead_a, lead_b) = (m_a, m_b) with
-# m_a*lead_a = m_b*lead_b.
+# one), normalize (the associate that gcd(zero, u) returns) and
+# lead_multipliers(lead_a, lead_b) = (m_a, m_b) with m_a*lead_a = m_b*lead_b.
 
 
 class _FqT:
@@ -237,6 +209,7 @@ class _FqT:
     mul = staticmethod(UPoly.__mul__)
     sub = staticmethod(UPoly.__sub__)
     exact_div = staticmethod(UPoly.exact_div)
+    normalize = staticmethod(UPoly.monic)
 
     def __init__(self, field):
         self.zero = UPoly.zero(field)
@@ -273,14 +246,16 @@ def _trim(xs: list) -> list:
 
 
 def _primitive(ring, xs: list) -> tuple:
-    """(content, primitive part) of a nonzero x-list; the content fold skips
-    zero coefficients and stops at a unit."""
-    cont = ring.zero
-    for u in xs:
-        if u:
-            cont = ring.gcd(cont, u)
-            if cont == ring.one:
-                return cont, xs
+    """(content, primitive part) of a nonzero x-list; the content fold starts
+    from the first nonzero coefficient, skips zero ones and stops at a unit."""
+    nonzero = (u for u in xs if u)
+    cont = ring.normalize(next(nonzero))
+    for u in nonzero:
+        if cont == ring.one:
+            break
+        cont = ring.gcd(cont, u)
+    if cont == ring.one:
+        return cont, xs
     return cont, [ring.exact_div(u, cont) for u in xs]
 
 
@@ -345,6 +320,8 @@ def b_gcd(f: BPoly, g: BPoly) -> BPoly:
     if g.is_zero():
         return b_normalize(f)
     field = f.field
+    if f.is_constant() or g.is_constant():
+        return BPoly.constant(field, field.one)
     if field.char == 0:
         d = _xl_gcd(ZT, int_x_list(f.terms)[0], int_x_list(g.terms)[0])
         return BPoly(field, q_terms(d, 1, d[-1][-1]))
@@ -398,6 +375,10 @@ def b_squarefree(f: BPoly) -> list[tuple[BPoly, int]]:
 
 
 def _bsqf(f: BPoly, mult: int, parts: dict[int, BPoly]) -> None:
+    # Yun's loop (D. Y. Y. Yun, SYMSAC 1976).  Step e finds the factors of
+    # multiplicity e with p not dividing e; those with p | e stay in d for
+    # the p-th root, whose parts carry mult * p.  So each key is set once:
+    # at recursion depth k every key is p^k times a number prime to p.
     if f.is_constant():
         return
     fx, ft = f.deriv_x(), f.deriv_t()
@@ -408,15 +389,17 @@ def _bsqf(f: BPoly, mult: int, parts: dict[int, BPoly]) -> None:
     for partial in (fx, ft):
         if not partial.is_zero():
             d = b_gcd(d, partial)
+    if d.is_constant():
+        # f is squarefree: the loop below would divide by 1 and find f alone
+        parts[mult] = b_normalize(f)
+        return
     w = b_exact_div(f, d)
     e = 1
     while not w.is_constant():
         y = b_gcd(w, d)
         a = b_exact_div(w, y)
         if not a.is_constant():
-            key = mult * e
-            part = b_normalize(a)
-            parts[key] = b_normalize(parts[key] * part) if key in parts else part
+            parts[mult * e] = b_normalize(a)
         w, d = y, b_exact_div(d, y)
         e += 1
     if not d.is_constant():

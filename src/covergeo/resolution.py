@@ -15,8 +15,9 @@ the singularity invariant xi of the germ.
 
 Singular points living on the exceptional line but not rational over the
 current coefficient field are handled by extending F_{p^k} to the canonical
-field containing them; each representative point stands for its full orbit
-of conjugates, so its subtree is counted with multiplicity (``copies``).
+field containing them, F_{p^k} with k at most MAX_EXTENSION_DEGREE
+(ExtensionDegreeError beyond); each representative point stands for its full
+orbit of conjugates, so its subtree is counted with multiplicity (``copies``).
 Over Q such points would require number-field arithmetic and raise
 ``IrrationalPointError`` instead.
 """
@@ -39,6 +40,10 @@ from .polynomials import (
 )
 
 DEFAULT_DEPTH_LIMIT = 256
+# largest k of a field F_{p^k} built for conjugate points.  It admits every
+# germ of the tests, goldens, verify suites and benchmark: the goldens reach
+# F5^4, the tests F5^6.  F5^16 takes seconds to build and use, F5^22 far longer.
+MAX_EXTENSION_DEGREE = 12
 
 NEGLIGIBLE_FIRST = "first_kind"
 NEGLIGIBLE_SECOND = "second_kind"
@@ -51,6 +56,11 @@ class ResolutionDepthError(RuntimeError):
 
 class IrrationalPointError(ValueError):
     """A singular point on the exceptional line is not rational over Q."""
+
+
+class ExtensionDegreeError(RuntimeError):
+    """A point on the exceptional line needs a field F_{p^k} with k above
+    MAX_EXTENSION_DEGREE."""
 
 
 @dataclass(frozen=True)
@@ -185,14 +195,17 @@ def _blowup(germ: BranchGerm, flags: tuple[bool, bool]):
     fld = poly.field
     parity = m % 2
 
-    strict_x = poly.subst_x_xt().divide_x_power(m)
-    branch_x = strict_x
+    # Chart "x" maps the monomial x^i t^j to x^(i+j) t^j and chart "t" to
+    # x^i t^(i+j); each strict transform divides that by the m-th power of the
+    # line's variable, and each branch adds the line once more at odd m.  Both
+    # maps are injective, so no two terms meet and no coefficient changes.
+    terms = poly.terms
+    strict_x = BPoly(fld, {(i + j - m, j): c for (i, j), c in terms.items()})
+    strict_t = BPoly(fld, {(i, i + j - m): c for (i, j), c in terms.items()})
+    branch_x, branch_t = strict_x, strict_t
     if parity:
-        branch_x = branch_x * BPoly.var_x(fld)
-    strict_t = poly.subst_xt_t().divide_t_power(m)
-    branch_t = strict_t
-    if parity:
-        branch_t = branch_t * BPoly.var_t(fld)
+        branch_x = BPoly(fld, {(i + j - m + 1, j): c for (i, j), c in terms.items()})
+        branch_t = BPoly(fld, {(i, i + j - m + 1): c for (i, j), c in terms.items()})
 
     charts = (BlowupChart("x", strict_x, branch_x),
               BlowupChart("t", strict_t, branch_t))
@@ -262,7 +275,14 @@ def _line_points(strict_x: BPoly, poly: BPoly):
     that lies on a ``poly`` containing the line, raises IrrationalPointError.
     """
     fld = strict_x.field
-    restriction = strict_x.restrict_x0()  # never zero: x does not divide strict_x
+    # never empty: x does not divide strict_x
+    line = [j for i, j in strict_x.terms if not i]
+    if len(line) == 1:
+        # a monomial c*t^v vanishes on the line only at tau = 0
+        if line[0]:
+            yield poly, fld, fld.zero, 1
+        return
+    restriction = strict_x.restrict_x0()
     if fld.char == 0:
         roots, cofactor = u_rational_roots(restriction)
         if not cofactor.is_constant():
@@ -288,6 +308,11 @@ def _line_points(strict_x: BPoly, poly: BPoly):
             tau = fld.neg(irr.coeffs[0])
             yield poly.translate_t(tau), fld, tau, 1
         else:
+            if fld.k * irr.degree > MAX_EXTENSION_DEGREE:
+                raise ExtensionDegreeError(
+                    f"conjugate points need F{fld.p}^{fld.k * irr.degree}, past "
+                    f"the extension degree bound {MAX_EXTENSION_DEGREE}"
+                )
             big = splitting_extension(fld, irr.degree)
             embed = extension_embedding(fld, big)
             tau = u_roots(UPoly(big, [embed(c) for c in irr.coeffs]))[0]
@@ -306,8 +331,9 @@ def canonical_resolution(germ: BranchGerm, *,
 
     The blow-up tree is walked once, from an explicit stack, so the only
     limit on its depth is ``depth_limit``: at most that many blow-ups
-    (ResolutionDepthError beyond).  The negligible class is read off the
-    same walk.
+    (ResolutionDepthError beyond).  A point that needs a field F_{p^k} with
+    k > MAX_EXTENSION_DEGREE raises ExtensionDegreeError, naming the centre
+    blown up.  The negligible class is read off the same walk.
     """
     b1, b0 = normalize_branch(germ)
     steps, negligible = _resolve(b1, depth_limit)
@@ -366,7 +392,10 @@ def _resolve(b1: BranchGerm, depth_limit: int) -> tuple[list[BlowupStep], str]:
             raise ResolutionDepthError(
                 f"resolution depth exceeded ({depth_limit} blow-ups)"
             )
-        result, sites, ends = _blowup(current, flags)
+        try:
+            result, sites, ends = _blowup(current, flags)
+        except ExtensionDegreeError as exc:
+            raise ExtensionDegreeError(f"{exc} (blow-up centre: {center})") from None
         if not steps:
             # tangent directions; at odd m every one of them is a site
             directions = sum(site.copies for site, _ in sites)

@@ -7,6 +7,8 @@ from pathlib import Path
 import pytest
 
 from covergeo.cli import main
+from covergeo.fields import MAX_CHARACTERISTIC
+from covergeo.resolution import MAX_EXTENSION_DEGREE
 
 GOLDEN_DIR = Path(__file__).parent / "goldens"
 
@@ -43,6 +45,20 @@ def test_resolve_reports_even_part():
     assert "x^2 + 3*x*t + t^2" in out  # split-off even part
 
 
+def run_cli_within(seconds, argv, what):
+    """run_cli under an alarm, so that a hang fails instead of stalling."""
+    def too_slow(*_):
+        raise TimeoutError(f"{what} took over {seconds} s")
+
+    previous = signal.signal(signal.SIGALRM, too_slow)
+    signal.alarm(seconds)
+    try:
+        return run_cli(argv)
+    finally:
+        signal.alarm(0)
+        signal.signal(signal.SIGALRM, previous)
+
+
 def test_resolve_parse_error_exit_2():
     code, _, err = run_cli(["resolve", "x^5 -", "--no-timestamp"])
     assert code == 2
@@ -59,19 +75,39 @@ def test_resolve_bad_field_exit_2():
 def test_resolve_degree_bound_exit_2():
     # checked before x^100000000 is expanded: an x-list of that degree would
     # need gigabytes
-    def too_slow(*_):
-        raise TimeoutError("the degree bound was not checked while parsing")
-
-    previous = signal.signal(signal.SIGALRM, too_slow)
-    signal.alarm(3)
-    try:
-        code, out, err = run_cli(["resolve", "x^100000000 - t^3", "--field", "F5"])
-    finally:
-        signal.alarm(0)
-        signal.signal(signal.SIGALRM, previous)
+    code, out, err = run_cli_within(
+        3, ["resolve", "x^100000000 - t^3", "--field", "F5"],
+        "parsing past the degree bound")
     assert code == 2 and out == ""
     assert err.splitlines() == [
         "covergeo resolve: total degree 100000000 exceeds the bound 10000 (at position 11)"]
+
+
+def test_resolve_characteristic_bound_exit_2():
+    # checked before the primality test, which divides by every odd number
+    # up to sqrt(p)
+    code, out, err = run_cli_within(
+        2, ["resolve", "x*t", "--field", "F100000000000000000039"],
+        "a characteristic past the bound")
+    assert code == 2 and out == ""
+    assert err.splitlines() == [
+        "covergeo resolve: field characteristic 100000000000000000039 exceeds "
+        f"the bound {MAX_CHARACTERISTIC}"]
+    code, out, _ = run_cli_within(
+        2, ["resolve", "x*t", "--field", f"F{MAX_CHARACTERISTIC}", "--no-timestamp"],
+        "the largest admitted characteristic")
+    assert code == 0 and "first_kind" in out
+
+
+def test_resolve_extension_degree_bound_exit_1():
+    # the points of x^23 = 2 t^23 on the first exceptional line need F5^22
+    code, out, err = run_cli_within(
+        1, ["resolve", "x^23 - 2*t^23", "--field", "F5"],
+        "a germ past the extension degree bound")
+    assert code == 1 and out == ""
+    assert err.splitlines() == [
+        "covergeo resolve: conjugate points need F5^22, past the extension "
+        f"degree bound {MAX_EXTENSION_DEGREE} (blow-up centre: origin)"]
 
 
 def test_resolve_depth_guard_exit_1():

@@ -133,17 +133,22 @@ def test_bivariate_squarefree_frobenius_power():
     assert [(g.fmt(), e) for g, e in b_squarefree(f)] == [("x + 4*t", 5)]
 
 
-@pytest.mark.parametrize("spec", ["F7", "F7^2", "Q"])
+@pytest.mark.parametrize("spec", ["F3", "F5", "F5^2", "F7", "F7^2", "Q"])
 def test_bivariate_squarefree_reassembly_and_coprimality(spec):
+    # exponents p, p + 1 and 2p send parts through the p-th-root recursion,
+    # whose squarefree remainder leaves by the constant-gcd exit
     rng = random.Random(42)
     fld = parse_field_spec(spec)
+    p = fld.char
+    exponents = (1, 2, 3) + ((p, p + 1, 2 * p) if p else ())
     x, t = BPoly.var_x(fld), BPoly.var_t(fld)
     lines = [x, t, x - t, x + t, x - t * t, x * x - t * t * t,
              x - t.scale(fld.inv(fld.from_int(2)))]
     for _ in range(20):
-        f = BPoly.constant(fld, fld.from_int(rng.randrange(1, 7)))
+        c = fld.from_int(rng.randrange(1, 7))
+        f = BPoly.constant(fld, fld.one if c == fld.zero else c)
         for g in rng.sample(lines, rng.randint(1, 4)):
-            for _ in range(rng.randint(1, 3)):
+            for _ in range(rng.choice(exponents)):
                 f = f * g
         parts = b_squarefree(f)
         prod = BPoly.constant(fld, fld.one)

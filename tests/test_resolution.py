@@ -1,12 +1,15 @@
 import math
 import random
 import signal
+from collections import Counter
 
 import pytest
 
+import covergeo.polynomials
+import covergeo.resolution
 from covergeo.fields import QQ, prime_field
 from covergeo.parsing import parse_field_spec, parse_polynomial
-from covergeo.polynomials import BPoly, b_squarefree
+from covergeo.polynomials import BPoly, b_exact_div, b_squarefree
 from covergeo.resolution import (
     NEGLIGIBLE_FIRST,
     NEGLIGIBLE_SECOND,
@@ -379,6 +382,73 @@ def test_blowups_keep_random_germs_reduced(spec):
         sites += _walk_sites(b1, 0)
         germs += 1
     assert sites > 0
+
+
+# -- chart polynomials and work skipped by shape -------------------------------
+
+def _chart_reference(poly):
+    """(strict, branch) of charts "x" and "t": substitute, divide by the m-th
+    power of the line's variable and add the line once more at odd m."""
+    fld = poly.field
+    m = poly.total_valuation()
+    x, t = BPoly.var_x(fld), BPoly.var_t(fld)
+    out = []
+    for line, x_image, t_image in ((x, x, x * t), (t, x * t, t)):
+        power = BPoly.constant(fld, fld.one)
+        for _ in range(m):
+            power = power * line
+        strict = b_exact_div(_substitute(poly, x_image, t_image), power)
+        out.append((strict, strict * line if m % 2 else strict))
+    return out
+
+
+@pytest.mark.parametrize("spec", ["Q", "F5", "F5^2"])
+def test_blowup_charts_match_substitution(spec):
+    fld = parse_field_spec(spec)
+    rng = random.Random(f"charts-{spec}")
+    parities = set()
+    germs = 0
+    while germs < 15:
+        b1 = _random_reduced_germ(rng, fld)
+        if b1 is None:
+            continue
+        germs += 1
+        parities.add(b1.poly.total_valuation() % 2)
+        charts = blowup_once(b1).charts
+        assert [(c.strict, c.branch) for c in charts] == _chart_reference(b1.poly), b1.fmt()
+    assert parities == {0, 1}
+
+
+def _count_calls(monkeypatch, module, name, calls):
+    fn = getattr(module, name)
+
+    def counted(*args, **kwargs):
+        calls[name] += 1
+        return fn(*args, **kwargs)
+
+    monkeypatch.setattr(module, name, counted)
+
+
+@pytest.mark.parametrize("spec", ["Q", "F7"])
+def test_shape_shortcuts_skip_work(monkeypatch, spec):
+    # a reduced germ is normalized without exact division, and a restriction
+    # to the exceptional line that is a monomial or a constant is neither
+    # factored nor searched for rational roots
+    calls = Counter()
+    _count_calls(monkeypatch, covergeo.polynomials, "b_exact_div", calls)
+    _count_calls(monkeypatch, covergeo.resolution, "u_factor", calls)
+    _count_calls(monkeypatch, covergeo.resolution, "u_rational_roots", calls)
+    for expr in ("x^2 - t^101", "x*t*(x^3 - t^2)", "(x^2 - t^3)*(x^3 - t^5)"):
+        normalize_branch(germ(expr, spec))
+    assert calls["b_exact_div"] == 0
+    trace = canonical_resolution(germ("x^2 - t^101", spec))
+    assert len(trace.steps) == 50
+    assert calls == Counter()
+    # the counters see the work when the shape does not rule it out
+    normalize_branch(germ("(x - t)^2*(x + t)", spec))
+    canonical_resolution(germ("x*t*(x - t)", spec))
+    assert calls["b_exact_div"] > 0
+    assert calls["u_rational_roots" if spec == "Q" else "u_factor"] > 0
 
 
 # -- metamorphic properties ----------------------------------------------------
