@@ -32,6 +32,14 @@ from .xi import RamificationType, SingularityClass, xi_bound_family, xi_family, 
 USAGE_ERROR = 2
 
 
+class _ArgumentParser(argparse.ArgumentParser):
+    """argparse with a one-line usage error, "covergeo <command>: <message>",
+    as every other usage error; subparsers inherit the class."""
+
+    def error(self, message):
+        self.exit(USAGE_ERROR, f"{self.prog}: {message}\n")
+
+
 def _common_flags(sub: argparse.ArgumentParser) -> None:
     sub.add_argument("--format", choices=("table", "records"), default="table")
     sub.add_argument("--no-timestamp", action="store_true",
@@ -39,7 +47,7 @@ def _common_flags(sub: argparse.ArgumentParser) -> None:
 
 
 def build_parser() -> argparse.ArgumentParser:
-    parser = argparse.ArgumentParser(
+    parser = _ArgumentParser(
         prog="covergeo",
         description="exact singularity invariants of flat double covers and "
                     "surface geography checks",
@@ -381,8 +389,13 @@ _DISPATCH = {
 
 
 def main(argv=None) -> int:
-    parser = build_parser()
-    args = parser.parse_args(argv)
+    args, unknown = build_parser().parse_known_args(argv)
+    if unknown:
+        # argparse would report these from the top-level parser, without
+        # the command
+        print(f"covergeo {args.command}: unrecognized arguments: {' '.join(unknown)}",
+              file=sys.stderr)
+        return USAGE_ERROR
     return _DISPATCH[args.command](args)
 
 

@@ -8,7 +8,9 @@ Germ grammar (whitespace insensitive, integer coefficients only):
     atom   := natural | 'x' | 't' | '(' expr ')'
 
 The total degree of every product and power is at most MAX_DEGREE; the
-check comes before the expansion.  Field specs are "Q" for the rationals or
+check comes before the expansion.  Parentheses nest at most MAX_NESTING
+deep, which keeps the recursive descent well inside Python's recursion
+limit.  Field specs are "Q" for the rationals or
 "F<p>" / "F<p>^<k>" for F_{p^k}, p an odd prime.
 """
 
@@ -22,6 +24,9 @@ from .polynomials import BPoly
 
 # admits every germ of the tests and the benchmark, the longest being t^2100
 MAX_DEGREE = 10_000
+# each level of parentheses takes four frames (atom, expr, term, factor), so
+# this bound stays far below the default recursion limit of 1,000
+MAX_NESTING = 100
 
 
 class ParseError(ValueError):
@@ -47,6 +52,7 @@ class _Parser:
         self.text = text.replace("−", "-")
         self.pos = 0
         self.field = field
+        self.depth = 0
 
     def error(self, message: str):
         raise ParseError(message, self.pos)
@@ -116,10 +122,14 @@ class _Parser:
     def atom(self) -> BPoly:
         ch = self.peek()
         if ch == "(":
+            if self.depth == MAX_NESTING:
+                self.error(f"parentheses nest deeper than the bound {MAX_NESTING}")
             self.pos += 1
+            self.depth += 1
             value = self.expr()
             if not self.take(")"):
                 self.error("expected ')'")
+            self.depth -= 1
             return value
         if ch == "x":
             self.pos += 1

@@ -12,7 +12,7 @@ from __future__ import annotations
 import math
 
 from ._intpoly import ZT, _z_primitive, int_x_list, q_terms
-from .fields import extension_field
+from .fields import PrimeField, extension_field
 from .univariate import UPoly, u_factor, u_rational_roots, u_roots, u_squarefree, ugcd  # noqa: F401
 
 
@@ -364,14 +364,72 @@ def b_pth_root(f: BPoly) -> BPoly:
 
 def b_squarefree(f: BPoly) -> list[tuple[BPoly, int]]:
     """Squarefree decomposition f = c * prod g_i^e_i over Q or F_{p^k} (p
-    odd), with the g_i squarefree, pairwise coprime and normalized."""
+    odd), with the g_i squarefree, pairwise coprime and normalized.
+
+    A univariate image certifies most squarefree f before any bivariate gcd:
+    over F_q the image is f itself, over Q its integer model mod 2^31 - 1.
+    In each variable in turn, the other is set to v = 1, 2 or 3 (skipping
+    v = 0 in the field) until g = f(x, v) keeps the x-degree of f and
+    gcd(g, g') = 1; a variable that f does not contain passes at once.  If
+    h^2 divides f, then h(x, v)^2 divides g, and the degree test keeps the
+    x-degree of h(x, v) equal to that of h, so both variables passing proves
+    f squarefree (over Q, Gauss's lemma keeps h integral, so the divisibility
+    survives the reduction).  Only a yes is trusted: a failed test, or a
+    constant f, falls through to Yun's loop.  Either way the answer for a
+    squarefree f is [(b_normalize(f), 1)].
+    """
     if f.is_zero():
         raise ValueError("cannot decompose the zero polynomial")
+    if not f.is_constant() and _certified_squarefree(f):
+        return [(b_normalize(f), 1)]
     parts: dict[int, BPoly] = {}
     _bsqf(b_normalize(f), 1, parts)
     out = [(g, e) for e, g in parts.items()]
     out.sort(key=lambda ge: (ge[1], ge[0].sort_key()))
     return out
+
+
+# 2^31 - 1, a Mersenne prime (Euler), as the field of the image over Q;
+# built directly, since prime_field would first test it by trial division
+_IMAGE_FIELD = PrimeField(2**31 - 1)
+
+
+def _certified_squarefree(f: BPoly) -> bool:
+    field, terms = f.field, f.terms
+    image = terms
+    if field.char == 0:
+        field = _IMAGE_FIELD
+        xs = int_x_list(terms)[0]
+        image = {(i, j): c % field.p for i, u in enumerate(xs) for j, c in enumerate(u) if c}
+    return all(_image_passes(field, image, max(e[axis] for e in terms), axis)
+               for axis in (0, 1))
+
+
+def _image_passes(field, image: dict, degree: int, axis: int) -> bool:
+    # f has no repeated factor of positive degree in the variable ``axis``
+    # if g, its image with the other variable set to some v, keeps ``degree``
+    # and gcd(g, g') = 1
+    if degree == 0:
+        return True
+    zero, add, mul, pow_ = field.zero, field.add, field.mul, field.pow
+    other = 1 - axis
+    for v in (1, 2, 3):
+        value = field.from_int(v)
+        if value == zero:
+            continue
+        powers: dict[int, object] = {}
+        g = [zero] * (degree + 1)
+        for e, c in image.items():
+            k = e[other]
+            pw = powers.get(k)
+            if pw is None:
+                pw = powers[k] = pow_(value, k)
+            g[e[axis]] = add(g[e[axis]], mul(c, pw))
+        if g[degree] != zero:
+            g = UPoly(field, g)
+            if ugcd(g, g.deriv()).is_constant():
+                return True
+    return False
 
 
 def _bsqf(f: BPoly, mult: int, parts: dict[int, BPoly]) -> None:

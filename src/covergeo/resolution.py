@@ -178,22 +178,32 @@ def blowup_once(germ: BranchGerm) -> BlowupResult:
     returned are reduced again, so blowing them up needs no new check.
     """
     _require_reduced(germ.poly)
-    return _blowup(germ, (False, False))[0]
+    m, (strict_x, branch_x, strict_t, branch_t) = _charts(germ.poly)
+    sites, _ = _sites_on_exceptional(strict_x, branch_x, strict_t, branch_t,
+                                     (False, False))
+    charts = (BlowupChart("x", strict_x, branch_x),
+              BlowupChart("t", strict_t, branch_t))
+    return BlowupResult(m, m // 2, charts, tuple(site for site, _ in sites))
 
 
 def _blowup(germ: BranchGerm, flags: tuple[bool, bool]):
-    # Returns the blow-up, its sites with their flags and the number of
-    # branch ends, as in _sites_on_exceptional.
+    # The multiplicity m, the sites with their flags and the number of
+    # branch ends, as in _sites_on_exceptional: all that the walk reads.
+    m, charts = _charts(germ.poly)
+    return (m,) + _sites_on_exceptional(*charts, flags)
+
+
+def _charts(poly: BPoly):
+    """The multiplicity m of ``poly`` at the origin, and the strict
+    transform and branch in chart "x", then in chart "t"."""
     # The germ is reduced.  So is each branch built here: x does not divide
     # strict_x (its restriction to x = 0 is the nonzero tangent cone), the
     # same holds for t and strict_t, and translating or extending the field
     # (all fields here are perfect) keeps a polynomial squarefree.
-    poly = germ.poly
     m = poly.total_valuation()
     if m < 2:
         raise ValueError("blow-up center must be a singular point (mult >= 2)")
     fld = poly.field
-    parity = m % 2
 
     # Chart "x" maps the monomial x^i t^j to x^(i+j) t^j and chart "t" to
     # x^i t^(i+j); each strict transform divides that by the m-th power of the
@@ -203,15 +213,10 @@ def _blowup(germ: BranchGerm, flags: tuple[bool, bool]):
     strict_x = BPoly(fld, {(i + j - m, j): c for (i, j), c in terms.items()})
     strict_t = BPoly(fld, {(i, i + j - m): c for (i, j), c in terms.items()})
     branch_x, branch_t = strict_x, strict_t
-    if parity:
+    if m % 2:
         branch_x = BPoly(fld, {(i + j - m + 1, j): c for (i, j), c in terms.items()})
         branch_t = BPoly(fld, {(i, i + j - m + 1): c for (i, j), c in terms.items()})
-
-    charts = (BlowupChart("x", strict_x, branch_x),
-              BlowupChart("t", strict_t, branch_t))
-    sites, ends = _sites_on_exceptional(strict_x, branch_x, strict_t, branch_t, flags)
-    result = BlowupResult(m, m // 2, charts, tuple(site for site, _ in sites))
-    return result, sites, ends
+    return m, (strict_x, branch_x, strict_t, branch_t)
 
 
 def _require_reduced(poly: BPoly) -> None:
@@ -393,7 +398,7 @@ def _resolve(b1: BranchGerm, depth_limit: int) -> tuple[list[BlowupStep], str]:
                 f"resolution depth exceeded ({depth_limit} blow-ups)"
             )
         try:
-            result, sites, ends = _blowup(current, flags)
+            mult, sites, ends = _blowup(current, flags)
         except ExtensionDegreeError as exc:
             raise ExtensionDegreeError(f"{exc} (blow-up centre: {center})") from None
         if not steps:
@@ -402,8 +407,8 @@ def _resolve(b1: BranchGerm, depth_limit: int) -> tuple[list[BlowupStep], str]:
         steps.append(BlowupStep(
             index=len(steps),
             center=center,
-            multiplicity=result.multiplicity,
-            half=result.half,
+            multiplicity=mult,
+            half=mult // 2,
             copies=copies,
         ))
         branches += copies * ends

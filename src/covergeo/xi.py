@@ -122,17 +122,29 @@ def xi_family(a: int, b: int, m: int, n: int) -> int:
         raise ValueError("m, n must be positive")
     if math.gcd(m, n) != 1:
         raise ValueError(f"m={m} and n={n} must be coprime")
+    # The recursion's step subtracts the smaller of m, n from the larger,
+    # adds _step_drop(a + b + smaller) and sets the larger side's exponent
+    # to that sum mod 2.  A run of q = larger // smaller such steps against
+    # the same smaller side is taken at once: if b + n (a + m) is even, a (b)
+    # stays fixed, and if it is odd, a (b) alternates, starting as it is.
     total = 0
     while m != 1 and n != 1:
         if m > n:
-            s = a + b + n
-            total += _step_drop(s)
-            a, m = s % 2, m - n
+            q, m = divmod(m, n)
+            total += _run_drops(q, a, b + n)
+            a ^= q & 1 & (b + n)
         else:
-            s = a + b + m
-            total += _step_drop(s)
-            b, n = s % 2, n - m
+            q, n = divmod(n, m)
+            total += _run_drops(q, b, a + m)
+            b ^= q & 1 & (a + m)
     return total
+
+
+def _run_drops(q: int, e: int, rest: int) -> int:
+    # the drops of q steps whose changing exponent starts at e
+    if rest % 2 == 0:
+        return q * _step_drop(e + rest)
+    return (q + 1) // 2 * _step_drop(e + rest) + q // 2 * _step_drop(1 - e + rest)
 
 
 def _step_drop(s: int) -> int:

@@ -8,6 +8,7 @@ import pytest
 
 from covergeo.cli import main
 from covergeo.fields import MAX_CHARACTERISTIC
+from covergeo.parsing import MAX_NESTING
 from covergeo.resolution import MAX_EXTENSION_DEGREE
 
 GOLDEN_DIR = Path(__file__).parent / "goldens"
@@ -99,6 +100,16 @@ def test_resolve_characteristic_bound_exit_2():
     assert code == 0 and "first_kind" in out
 
 
+def test_resolve_nesting_bound_exit_2():
+    # recursive descent would hit Python's recursion limit before depth 300
+    deep = "(" * 300 + "x*t" + ")" * 300
+    code, out, err = run_cli_within(2, ["resolve", deep], "a germ nested 300 deep")
+    assert code == 2 and out == ""
+    assert err.splitlines() == [
+        f"covergeo resolve: parentheses nest deeper than the bound {MAX_NESTING} "
+        f"(at position {MAX_NESTING})"]
+
+
 def test_resolve_extension_degree_bound_exit_1():
     # the points of x^23 = 2 t^23 on the first exceptional line need F5^22
     code, out, err = run_cli_within(
@@ -144,6 +155,22 @@ def test_resolve_negative_depth_limit_exit_2():
 def test_usage_error_exit_2():
     code, _, _ = run_cli(["frobnicate"])
     assert code == 2
+
+
+@pytest.mark.parametrize("argv,message", [
+    (["resolve", "x", "--format", "json"],
+     "covergeo resolve: argument --format: invalid choice: 'json' "
+     "(choose from 'table', 'records')"),
+    (["resolve"], "covergeo resolve: the following arguments are required: germ"),
+    (["resolve", "x*t", "--bogus"], "covergeo resolve: unrecognized arguments: --bogus"),
+    (["frobnicate"], "covergeo: argument command: invalid choice: 'frobnicate' "
+     "(choose from 'resolve', 'xi', 'fibration', 'raynaud', 'char3', 'kappa', "
+     "'genus', 'verify')"),
+])
+def test_usage_errors_one_line(argv, message):
+    code, out, err = run_cli(argv)
+    assert code == 2 and out == ""
+    assert err.splitlines() == [message]
 
 
 @pytest.mark.parametrize(
@@ -198,6 +225,17 @@ def test_xi_family_gcd_error():
     code, _, err = run_cli(["xi", "--family", "0", "0", "4", "2"])
     assert code == 2
     assert "coprime" in err
+
+
+def test_xi_type_large_p_is_fast():
+    # the tame base x^a t^b (x^p - t^4) took one recursion step per
+    # subtraction of 4 from p, about 2.5e8 at this p
+    code, out, err = run_cli_within(
+        2, ["xi", "--type", "I", "--tame", "R=3", "--p", "1000000007",
+            "--no-timestamp", "--format", "records"],
+        "xi --type at p = 10^9 + 7")
+    assert code == 0 and err == ""
+    assert "summary\tPASS" in out
 
 
 def test_xi_type_command():

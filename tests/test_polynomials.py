@@ -4,8 +4,15 @@ from fractions import Fraction
 
 import pytest
 
+import covergeo.polynomials
 from covergeo.fields import QQ, extension_field, prime_field
-from covergeo.parsing import MAX_DEGREE, ParseError, parse_field_spec, parse_polynomial
+from covergeo.parsing import (
+    MAX_DEGREE,
+    MAX_NESTING,
+    ParseError,
+    parse_field_spec,
+    parse_polynomial,
+)
 from covergeo.polynomials import (
     BPoly,
     UPoly,
@@ -201,6 +208,88 @@ def test_bivariate_squarefree_sparse_content_is_fast():
     assert parts == [(f, 1)]
 
 
+def _certified(f):
+    return covergeo.polynomials._certified_squarefree(f)
+
+
+def _yun_only(monkeypatch, f):
+    # b_squarefree as it decomposes f without the certificate
+    with monkeypatch.context() as patch:
+        patch.setattr(covergeo.polynomials, "_certified_squarefree", lambda _: False)
+        return b_squarefree(f)
+
+
+def _power(f, e):
+    out = BPoly.constant(f.field, f.field.one)
+    for _ in range(e):
+        out = out * f
+    return out
+
+
+@pytest.mark.parametrize("spec", ["Q", "F3", "F5", "F7", "F3^2", "F5^2"])
+def test_squarefree_certificate_is_one_sided(monkeypatch, spec):
+    # h^e * k with h nonconstant and e in {2, 3, p} is never certified, and
+    # whatever is certified decomposes as Yun's loop alone decomposes it
+    rng = random.Random(f"certificate-{spec}")
+    fld = parse_field_spec(spec)
+    exponents = (2, 3) + ((fld.char,) if fld.char else ())
+
+    def coefficient():
+        num = fld.from_int(rng.choice([-3, -2, -1, 1, 2, 3]))
+        return fld.mul(num if num != fld.zero else fld.one,
+                       fld.inv(fld.from_int(rng.choice([1, 1, 2, 4]))))
+
+    factors = []
+    while len(factors) < 8:
+        g = BPoly(fld, {(rng.randint(0, 2), rng.randint(0, 2)): coefficient()
+                        for _ in range(rng.randint(2, 4))})
+        if not g.is_constant():
+            factors.append(g)
+    certified = 0
+    for _ in range(40):
+        h, *rest = rng.sample(factors, rng.randint(1, 3))
+        k = BPoly.constant(fld, coefficient())
+        for g in rest:
+            k = k * g
+        e = rng.choice(exponents)
+        assert not _certified(_power(h, e) * k), (h.fmt(), e, k.fmt())
+        if _certified(h * k):
+            certified += 1
+            assert _yun_only(monkeypatch, h * k) == [(b_normalize(h * k), 1)]
+    # most squarefree products are certified, fewer over F3 and F9 (7 of 40)
+    assert certified >= 5
+
+
+def test_squarefree_certificate_degree_test_over_q():
+    # 2^31 - 1 divides the leading coefficient of the integer model in x or
+    # in t, so the image loses degree and certifies nothing; the first two
+    # have the images x + t, which would pass without the degree test
+    big = 2**31 - 1
+    for text in (f"({big}*x + 1)^2*(x + t)", f"({big}*t + 1)^2*(x + t)",
+                 f"({big}*x + t)^2", f"(x + {big}*t)^2", f"({big}*x*t + x + t)^2*x"):
+        assert not _certified(parse_polynomial(text, QQ)), text
+    half = BPoly.var_x(QQ).scale(Fraction(1, big)) + BPoly.var_t(QQ)
+    assert not _certified(half * half)
+    f = parse_polynomial(f"x^2 + {big}*x*t + t^3", QQ)
+    assert _certified(f) and b_squarefree(f) == [(b_normalize(f), 1)]
+
+
+@pytest.mark.parametrize("text,parts", [
+    # no v in F3 keeps the x-degree: t^2 - 1 vanishes at t = 1 and t = 2
+    ("(t^2 - 1)*x^2 + t", [("x^2*t^2 + 2*x^2 + t", 1)]),
+    ("((t^2 - 1)*x + t)^2*(x + t)", [("x + t", 1), ("x*t^2 + 2*x + t", 2)]),
+    # g' = 0 in x for every v
+    ("x^3 - t", [("x^3 + 2*t", 1)]),
+    ("(x^3 - t)*(x - t)^2", [("x^3 + 2*t", 1), ("x + 2*t", 2)]),
+])
+def test_squarefree_certificate_falls_back_over_f3(monkeypatch, text, parts):
+    fld = parse_field_spec("F3")
+    f = parse_polynomial(text, fld)
+    assert not _certified(f)
+    expected = [(parse_polynomial(g, fld), e) for g, e in parts]
+    assert b_squarefree(f) == expected == _yun_only(monkeypatch, f)
+
+
 def test_bivariate_zero_rejected():
     with pytest.raises(ValueError):
         b_squarefree(BPoly.zero(QQ))
@@ -284,6 +373,14 @@ def test_parse_degree_bound():
     for text in (f"x^{half} * t^{half + 1}", f"(x + t^2)^{half + 1}", "x^100000000"):
         with pytest.raises(ParseError, match=f"exceeds the bound {MAX_DEGREE}"):
             parse_polynomial(text, fld)
+
+
+def test_parse_nesting_bound():
+    fld = parse_field_spec("F5")
+    at_bound = "(" * MAX_NESTING + "x*t" + ")" * MAX_NESTING
+    assert parse_polynomial(at_bound, fld) == parse_polynomial("x*t", fld)
+    with pytest.raises(ParseError, match=f"nest deeper than the bound {MAX_NESTING}"):
+        parse_polynomial("(" + at_bound + ")", fld)
 
 
 def test_extension_embedding_is_homomorphism():

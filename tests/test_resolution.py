@@ -431,23 +431,25 @@ def _count_calls(monkeypatch, module, name, calls):
 
 @pytest.mark.parametrize("spec", ["Q", "F7"])
 def test_shape_shortcuts_skip_work(monkeypatch, spec):
-    # a reduced germ is normalized without exact division, and a restriction
-    # to the exceptional line that is a monomial or a constant is neither
-    # factored nor searched for rational roots
+    # a reduced germ is certified squarefree without a bivariate gcd or an
+    # exact division, and a restriction to the exceptional line that is a
+    # monomial or a constant is neither factored nor searched for rational
+    # roots
     calls = Counter()
+    _count_calls(monkeypatch, covergeo.polynomials, "b_gcd", calls)
     _count_calls(monkeypatch, covergeo.polynomials, "b_exact_div", calls)
     _count_calls(monkeypatch, covergeo.resolution, "u_factor", calls)
     _count_calls(monkeypatch, covergeo.resolution, "u_rational_roots", calls)
     for expr in ("x^2 - t^101", "x*t*(x^3 - t^2)", "(x^2 - t^3)*(x^3 - t^5)"):
         normalize_branch(germ(expr, spec))
-    assert calls["b_exact_div"] == 0
+    assert calls == Counter()
     trace = canonical_resolution(germ("x^2 - t^101", spec))
     assert len(trace.steps) == 50
     assert calls == Counter()
     # the counters see the work when the shape does not rule it out
     normalize_branch(germ("(x - t)^2*(x + t)", spec))
     canonical_resolution(germ("x*t*(x - t)", spec))
-    assert calls["b_exact_div"] > 0
+    assert calls["b_gcd"] > 0 and calls["b_exact_div"] > 0
     assert calls["u_rational_roots" if spec == "Q" else "u_factor"] > 0
 
 

@@ -8,6 +8,7 @@ from hypothesis import strategies as st
 from covergeo.xi import (
     RamificationType,
     SingularityClass,
+    _step_drop,
     xi_bound_family,
     xi_family,
     xi_inequality_slack,
@@ -33,6 +34,31 @@ def test_family_values():
     assert xi_family(1, 1, 3, 2) == 1
     assert xi_family(0, 1, 5, 2) == 1
     assert xi_family(0, 0, 5, 2) == 0
+
+
+def _xi_family_by_subtraction(a, b, m, n):
+    # the recursion one subtraction at a time
+    total = 0
+    while m != 1 and n != 1:
+        if m > n:
+            s = a + b + n
+            total += _step_drop(s)
+            a, m = s % 2, m - n
+        else:
+            s = a + b + m
+            total += _step_drop(s)
+            b, n = s % 2, n - m
+    return total
+
+
+def test_family_matches_subtractive_recursion():
+    # xi_family takes each run of subtractions as one division
+    for m in range(1, 120):
+        for n in range(1, 120):
+            if math.gcd(m, n) == 1:
+                for a in (0, 1):
+                    for b in (0, 1):
+                        assert xi_family(a, b, m, n) == _xi_family_by_subtraction(a, b, m, n)
 
 
 def test_family_requires_coprime():
