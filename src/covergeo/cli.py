@@ -299,9 +299,13 @@ def cmd_kappa(args) -> int:
         f"kappa|{args.min}|{args.max}",
         timestamp=not args.no_timestamp,
     )
+    try:
+        rows = geo.kappa_table(args.min, args.max)
+    except ValueError as exc:
+        print(f"covergeo kappa: {exc}", file=sys.stderr)
+        return USAGE_ERROR
     report.add("columns", "p", "conjectural", "proven-lower", "note",
                "gap-to-1/12")
-    rows = geo.kappa_table(args.min, args.max)
     for row in rows:
         gap = geo.kappa_limit_gap(row.p) if row.p >= 5 else None
         report.add("kappa", row.p, row.conjectural, row.proven_lower,

@@ -146,11 +146,18 @@ class Char3Example:
         return Fraction(self.c2_upper, self.q - 1)
 
 
+# largest n of char3_example: 4(q - 1) < 2*9^n then has at most 1,909
+# digits, well inside the 4,300 digits that Python converts to a string
+MAX_CHAR3_N = 2000
+
+
 def char3_example(n: int) -> Char3Example:
     """Characteristic-3 family: q - 1 = (3^n - 1)(3^n - 4)/2, m = 3^n - 1,
     and c2 <= -4(q-1) + 3m; general type needs n >= 2."""
     if n < 2:
         raise ValueError("the family is of general type only for n >= 2")
+    if n > MAX_CHAR3_N:
+        raise ValueError(f"n = {n} exceeds the bound {MAX_CHAR3_N}")
     m = 3**n - 1
     q_minus_1 = (3**n - 1) * (3**n - 4) // 2
     return Char3Example(n=n, q=q_minus_1 + 1, m=m, c2_upper=-4 * q_minus_1 + 3 * m)
@@ -173,5 +180,12 @@ def sb_lower_bound_check(inv: SurfaceInvariants) -> SlackReport:
     return SlackReport(True, slack > 0, threshold, slack)
 
 
+# largest p_max of kappa_table: the table up to it has 17,983 rows and
+# takes about 2 s to build and print, most of it in trial division
+MAX_KAPPA_P = 200_000
+
+
 def kappa_table(p_min: int, p_max: int) -> list[KappaReport]:
+    if p_max > MAX_KAPPA_P:
+        raise ValueError(f"primes up to {p_max} exceed the bound {MAX_KAPPA_P}")
     return [kappa_report(p) for p in primes_between(max(p_min, 3), p_max)]

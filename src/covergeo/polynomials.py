@@ -10,6 +10,7 @@ after clearing denominators (``covergeo._intpoly``), and D = F_q over F_q.
 from __future__ import annotations
 
 import math
+from fractions import Fraction
 
 from ._intpoly import ZT, _z_primitive, int_x_list, q_terms
 from .fields import PrimeField, extension_field
@@ -132,8 +133,10 @@ class BPoly:
     def translate_t(self, a):
         """Substitute t -> t + a."""
         f = self.field
-        if a == f.zero:
+        if a == f.zero or not self.terms:
             return self
+        if f.char == 0:
+            return BPoly(f, _q_translate_t(self.terms, a))
         out: dict = {}
         for (i, j), c in self.terms.items():
             pw = f.one
@@ -190,6 +193,30 @@ class BPoly:
 
     def __repr__(self):
         return f"BPoly({self.fmt()!r} over {self.field.name})"
+
+
+def _q_translate_t(terms: dict, a) -> dict:
+    # On the integer model D*f = sum_i x^i u_i(t): with a = r/s and d the
+    # degree of u_i, v(t) = s^d u_i(t/s) has the integer coefficients
+    # u_ij s^(d-j), and v(t + r) = s^d u_i((t + r)/s), so the coefficient
+    # of t^k in u_i(t + a) is that of v(t + r) over s^(d-k).
+    xs, den = int_x_list(terms)
+    r, s = a.numerator, a.denominator
+    s_pows = [1]
+    for _ in range(max(map(len, xs))):
+        s_pows.append(s_pows[-1] * s)
+    out = {}
+    for i, v in enumerate(xs):
+        d = len(v) - 1
+        if s != 1:
+            v = [c * s_pows[d - j] for j, c in enumerate(v)]
+        for k in range(d):  # Taylor shift by r: d passes of Horner's rule
+            for j in range(d - 1, k - 1, -1):
+                v[j] += r * v[j + 1]
+        for k, c in enumerate(v):
+            if c:
+                out[(i, k)] = Fraction(c, den * s_pows[d - k])
+    return out
 
 
 # ---------------------------------------------------------------------------

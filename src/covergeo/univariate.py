@@ -2,9 +2,13 @@
 
 ``UPoly`` is dense (coefficient tuple, increasing degree, no trailing
 zeros).  Factorization over finite fields is fully deterministic: squarefree
-decomposition (characteristic aware), distinct-degree splitting, then
-equal-degree splitting driven by a fixed enumeration of trial polynomials
-instead of a random source.
+decomposition (characteristic aware), distinct-degree splitting, then the
+equal-degree splitting of Cantor and Zassenhaus (Math. Comp. 36, 1981) with
+trial polynomials taken in a canonical order instead of from a random
+source.  Over F_{p^k} the order starts at x + g, g the field's generator,
+not at x: many roots met on the exceptional line are conjugate over F_p,
+and a shift x + c with c in F_p cannot split them, since the quadratic
+character chi commutes with Frobenius sigma, chi(r + c) = chi(sigma(r) + c).
 """
 
 from __future__ import annotations
@@ -238,18 +242,28 @@ def _u_pth_root(f: UPoly) -> UPoly:
 
 
 def _field_poly_by_code(field, code: int, length: int) -> UPoly:
-    # canonical enumeration of polynomials: base-(field order) digits
+    # canonical enumeration of polynomials: base-(field order) digits, the
+    # constant digit rotated by p, so that over F_{p^k} the constants that
+    # come first are those outside F_p (over F_p the rotation is the identity)
     q = field.order
-    coeffs = []
-    for _ in range(length):
-        coeffs.append(field.decode(code % q))
+    coeffs = [field.decode((code + field.p) % q)]
+    for _ in range(1, length):
         code //= q
+        coeffs.append(field.decode(code % q))
     return UPoly(field, coeffs)
 
 
 def _equal_degree_split(f: UPoly, d: int) -> list[UPoly]:
     """Split monic squarefree f, all of whose irreducible factors have degree
-    d, using a deterministic trial sequence (field order is odd here)."""
+    d, using a deterministic trial sequence (field order is odd here).
+
+    A trial a splits f when a^((q^d - 1)/2) is 1 at some roots of f and not
+    at others.  Over F_p the trials are x, x + 1, x + 2, ...  Over F_{p^k}
+    they start at x + g, x + g + 1, ...: every constant of the first
+    p^2 - p linear trials generates the whole field, so none lies in a
+    proper subfield that holds f's coefficients, where it could not tell
+    roots conjugate over that subfield apart.
+    """
     field = f.field
     if f.degree == d:
         return [f]

@@ -8,6 +8,7 @@ import pytest
 
 from covergeo.cli import main
 from covergeo.fields import MAX_CHARACTERISTIC
+from covergeo.geography import MAX_CHAR3_N, MAX_KAPPA_P
 from covergeo.parsing import MAX_NESTING
 from covergeo.resolution import MAX_EXTENSION_DEGREE
 
@@ -319,6 +320,31 @@ def test_char3_command():
     assert "invariant\tq-1\t20" in out
     assert "invariant\tm\t8" in out
     assert "invariant\tc2-upper-bound\t-56" in out
+
+
+def test_char3_bound_exit_2():
+    # checked before 3^n: at n = 5000 the printed q - 1 would pass the 4,300
+    # digits Python converts to a string, and 3^100000000 takes minutes
+    for n in (MAX_CHAR3_N + 1, 5000, 100000000):
+        code, out, err = run_cli_within(2, ["char3", "--n", str(n)],
+                                        "char3 past its bound")
+        assert code == 2 and out == ""
+        assert err.splitlines() == [
+            f"covergeo char3: n = {n} exceeds the bound {MAX_CHAR3_N}"]
+    code, out, _ = run_cli_within(2, ["char3", "--n", str(MAX_CHAR3_N), "--no-timestamp"],
+                                  "char3 at its bound")
+    assert code == 0 and "summary: PASS" in out
+
+
+def test_kappa_bound_exit_2():
+    # the table tests every integer up to --max for primality: 1,000,000
+    # took 10.8 s
+    for top in (MAX_KAPPA_P + 1, 1000000, 100000000):
+        code, out, err = run_cli_within(2, ["kappa", "--min", "5", "--max", str(top)],
+                                        "kappa past its bound")
+        assert code == 2 and out == ""
+        assert err.splitlines() == [
+            f"covergeo kappa: primes up to {top} exceed the bound {MAX_KAPPA_P}"]
 
 
 def test_kappa_command():

@@ -1,3 +1,4 @@
+import math
 import random
 import signal
 from fractions import Fraction
@@ -5,6 +6,7 @@ from fractions import Fraction
 import pytest
 
 import covergeo.polynomials
+import covergeo.univariate
 from covergeo.fields import QQ, extension_field, prime_field
 from covergeo.parsing import (
     MAX_DEGREE,
@@ -109,6 +111,114 @@ def test_roots_sorted_and_complete():
     assert roots == sorted(roots)
     assert all(pow(r, 3, 13) == 1 for r in roots)
     assert len(roots) == 3
+
+
+def _count_trials(monkeypatch):
+    """Record every trial polynomial of the equal-degree splitting."""
+    trials = []
+    make_trial = covergeo.univariate._field_poly_by_code
+
+    def counted(field, code, length):
+        trials.append(make_trial(field, code, length))
+        return trials[-1]
+
+    monkeypatch.setattr(covergeo.univariate, "_field_poly_by_code", counted)
+    return trials
+
+
+@pytest.mark.parametrize("p", [7, 11, 13])
+def test_conjugate_roots_split_in_few_trials(monkeypatch, p):
+    # the roots of x^2 - c, c a non-square of F_p, are conjugate over F_p; a
+    # trial x + c' with c' in F_p gives both the same character and cannot
+    # split them (9, 13 and 16 trials for u_roots when F_p came first)
+    fld = extension_field(p, 2)
+    c = next(c for c in range(2, p) if pow(c, (p - 1) // 2, p) == p - 1)
+    trials = _count_trials(monkeypatch)
+    roots = u_roots(upoly(fld, -c, 0, 1))
+    assert len(roots) == 2 and all(fld.mul(r, r) == fld.from_int(c) for r in roots)
+    assert 0 < len(trials) <= 3
+    assert trials[0] == upoly(fld, 0, 1) + UPoly.constant(fld, fld.decode(p))  # x + g
+    trials.clear()
+    square = upoly(fld, 1, 0, -c) * upoly(fld, 1, 0, -c)  # (1 - c*t^2)^2
+    _, factors = u_factor(square)
+    assert [(g.degree, e) for g, e in factors] == [(1, 2), (1, 2)]
+    assert 0 < len(trials) <= 3
+
+
+def test_prime_field_trials_start_at_x(monkeypatch):
+    fld = prime_field(7)
+    x = upoly(fld, 0, 1)
+    trials = _count_trials(monkeypatch)
+    # roots 1, 2 and 4 are all squares mod 7: x cannot split them, x + 1
+    # splits off x - 1, and x + 2 splits (x - 2)(x - 4)
+    assert u_roots(upoly(fld, -1, 1) * upoly(fld, -2, 1) * upoly(fld, -4, 1)) == [1, 2, 4]
+    assert trials == [x + upoly(fld, c) for c in (0, 1, 0, 1, 2)]
+
+
+def _random_upoly(rng, fld, degree):
+    coeffs = [fld.decode(rng.randrange(fld.order)) for _ in range(degree)]
+    return UPoly(fld, coeffs + [fld.decode(rng.randrange(1, fld.order))])
+
+
+def _evaluate(f, a):
+    fld = f.field
+    value = fld.zero
+    for c in reversed(f.coeffs):
+        value = fld.add(fld.mul(value, a), c)
+    return value
+
+
+@pytest.mark.parametrize("p,k", [(3, 2), (5, 2), (7, 2), (3, 3)])
+def test_roots_match_exhaustive_evaluation(p, k):
+    fld = extension_field(p, k)
+    elements = [fld.decode(code) for code in range(fld.order)]
+    rng = random.Random(31 * p + k)
+    for _ in range(12):
+        # a product with linear factors, so that most cases have roots
+        f = _random_upoly(rng, fld, rng.randint(0, 4))
+        for _ in range(rng.randint(0, 4)):
+            f = f * _random_upoly(rng, fld, 1)
+        expected = [a for a in elements if _evaluate(f, a) == fld.zero]
+        assert u_roots(f) == expected
+
+
+@pytest.mark.parametrize("p", [3, 5, 7, 11, 13])
+def test_factor_against_sympy(p):
+    sympy = pytest.importorskip("sympy")
+    x = sympy.Symbol("x")
+    fld = prime_field(p)
+    rng = random.Random(p)
+    for _ in range(12):
+        f = _random_upoly(rng, fld, rng.randint(1, 6))
+        for _ in range(rng.randint(0, 2)):
+            f = f * _random_upoly(rng, fld, rng.randint(1, 3))
+        unit, factors = sympy.Poly(list(reversed(f.coeffs)), x, modulus=p).factor_list()
+        expected = sorted(
+            ((UPoly(fld, [int(c) % p for c in reversed(g.all_coeffs())]), e)
+             for g, e in factors),
+            key=lambda ge: ge[0].sort_key())
+        assert u_factor(f) == (int(unit) % p, expected)
+
+
+@pytest.mark.parametrize("p,k", [(3, 2), (5, 2), (7, 2), (3, 3), (5, 3), (3, 4)])
+def test_factor_over_extension_is_a_factorization(p, k):
+    fld = extension_field(p, k)
+    elements = [fld.decode(code) for code in range(fld.order)]
+    rng = random.Random(17 * p + k)
+    for _ in range(10):
+        f = _random_upoly(rng, fld, rng.randint(2, 5))
+        for _ in range(rng.randint(0, 2)):
+            f = f * _random_upoly(rng, fld, rng.randint(1, 3))
+        unit, factors = u_factor(f)
+        product = UPoly.constant(fld, unit)
+        for g, e in factors:
+            assert g.leading() == fld.one
+            for _ in range(e):
+                product = product * g
+            if g.degree in (2, 3):  # irreducible: no root in the field
+                assert all(_evaluate(g, a) != fld.zero for a in elements)
+        assert product == f
+        assert len({g for g, _ in factors}) == len(factors)
 
 
 def test_rational_roots():
@@ -403,3 +513,31 @@ def test_translate_matches_eval():
     # f(x, t+2) evaluated at t=0 equals f at t=2
     assert shifted.restrict_x0().coeffs[:1] == (f5.from_int(3 * 16 % 5),)
     assert shifted.translate_t(f5.from_int(-2)) == f
+
+
+def _shift_by_binomials(f, a):
+    # f(x, t + a) = sum c x^i (t + a)^j, with (t + a)^j = sum C(j, r) t^r a^(j-r)
+    out = {}
+    for (i, j), c in f.terms.items():
+        for r in range(j + 1):
+            out[(i, r)] = out.get((i, r), 0) + c * math.comb(j, r) * a ** (j - r)
+    return BPoly(QQ, out)
+
+
+def test_translate_over_q_matches_binomial_expansion():
+    rng = random.Random(12)
+    shifts = [Fraction(3, 2), Fraction(-5, 3), Fraction(-4), Fraction(7, 12), Fraction(-1, 9)]
+    for _ in range(30):
+        # x-columns of different t-degree, some with gaps
+        terms = {}
+        for i in range(rng.randint(1, 4)):
+            degree = rng.randint(0, 9)
+            for j in {degree, rng.randint(0, degree), rng.randint(0, degree)}:
+                terms[(i, j)] = Fraction(rng.choice([-1, 1]) * rng.randint(1, 20),
+                                         rng.randint(1, 8))
+        f = BPoly(QQ, terms)
+        for a in shifts:
+            shifted = f.translate_t(a)
+            assert shifted == _shift_by_binomials(f, a)
+            assert shifted.translate_t(-a) == f
+    assert BPoly.zero(QQ).translate_t(Fraction(1, 2)) == BPoly.zero(QQ)
