@@ -306,8 +306,8 @@ def cmd_kappa(args) -> int:
         return USAGE_ERROR
     report.add("columns", "p", "conjectural", "proven-lower", "note",
                "gap-to-1/12")
-    for row in rows:
-        gap = geo.kappa_limit_gap(row.p) if row.p >= 5 else None
+    gaps = [geo.kappa_limit_gap(row.p) if row.p >= 5 else None for row in rows]
+    for row, gap in zip(rows, gaps):
         report.add("kappa", row.p, row.conjectural, row.proven_lower,
                    row.note, gap)
     dominated = all(
@@ -317,8 +317,8 @@ def cmd_kappa(args) -> int:
     )
     report.check("conjectural-dominates-proven", dominated)
     shrinking = all(
-        geo.kappa_limit_gap(row.p) < Fraction(1, row.p)
-        for row in rows
+        gap < Fraction(1, row.p)
+        for row, gap in zip(rows, gaps)
         if row.p >= 11
     )
     report.check("gap-below-1/p(p>=11)", shrinking)

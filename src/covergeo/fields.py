@@ -14,6 +14,7 @@ encodings and labels.
 from __future__ import annotations
 
 import functools
+import math
 from fractions import Fraction
 
 from .univariate import UPoly, u_factor
@@ -35,8 +36,12 @@ def is_prime(n: int) -> bool:
 
 
 def primes_between(lo: int, hi: int) -> list[int]:
-    """All primes p with lo <= p <= hi."""
-    return [n for n in range(max(lo, 2), hi + 1) if is_prime(n)]
+    """All primes lo <= p <= hi, from a sieve of Eratosthenes on [0, hi]."""
+    sieve = bytearray([1]) * (hi + 1)
+    for n in range(2, math.isqrt(max(hi, 0)) + 1):
+        if sieve[n]:
+            sieve[n * n::n] = bytes(len(range(n * n, hi + 1, n)))
+    return [n for n in range(max(lo, 2), hi + 1) if sieve[n]]
 
 
 def fmt_fraction(x: Fraction) -> str:

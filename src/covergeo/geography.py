@@ -181,7 +181,7 @@ def sb_lower_bound_check(inv: SurfaceInvariants) -> SlackReport:
 
 
 # largest p_max of kappa_table: the table up to it has 17,983 rows and
-# takes about 2 s to build and print, most of it in trial division
+# takes about 1.4 s to build and print
 MAX_KAPPA_P = 200_000
 
 

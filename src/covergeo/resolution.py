@@ -13,13 +13,12 @@ exceptional line, and contributes
 The sum of the chi contributions over all blow-ups lying above the origin is
 the singularity invariant xi of the germ.
 
-Singular points living on the exceptional line but not rational over the
-current coefficient field are handled by extending F_{p^k} to the canonical
-field containing them, F_{p^k} with k at most MAX_EXTENSION_DEGREE
-(ExtensionDegreeError beyond); each representative point stands for its full
-orbit of conjugates, so its subtree is counted with multiplicity (``copies``).
-Over Q such points would require number-field arithmetic and raise
-``IrrationalPointError`` instead.
+Only singular points on the exceptional line need the field to contain
+them.  One that is not rational over F_{p^k} is handled by extending to the
+canonical field containing it, with k at most MAX_EXTENSION_DEGREE
+(ExtensionDegreeError beyond); it stands for its orbit of conjugates, so its
+subtree is counted with multiplicity (``copies``).  Over Q such points would
+require number-field arithmetic and raise ``IrrationalPointError`` instead.
 """
 
 from __future__ import annotations
@@ -40,9 +39,10 @@ from .polynomials import (
 )
 
 DEFAULT_DEPTH_LIMIT = 256
-# largest k of a field F_{p^k} built for conjugate points.  It admits every
-# germ of the tests, goldens, verify suites and benchmark: the goldens reach
-# F5^4, the tests F5^6.  F5^16 takes seconds to build and use, F5^22 far longer.
+# largest k of a field F_{p^k} built for conjugate points that may be
+# singular; regular ones need no field.  It admits every germ of the tests,
+# goldens, verify suites and benchmark: the goldens reach F5^4, the tests
+# F5^6.  F5^16 takes seconds to build and use, F5^22 far longer.
 MAX_EXTENSION_DEGREE = 12
 
 NEGLIGIBLE_FIRST = "first_kind"
@@ -186,13 +186,6 @@ def blowup_once(germ: BranchGerm) -> BlowupResult:
     return BlowupResult(m, m // 2, charts, tuple(site for site, _ in sites))
 
 
-def _blowup(germ: BranchGerm, flags: tuple[bool, bool]):
-    # The multiplicity m, the sites with their flags and the number of
-    # branch ends, as in _sites_on_exceptional: all that the walk reads.
-    m, charts = _charts(germ.poly)
-    return (m,) + _sites_on_exceptional(*charts, flags)
-
-
 def _charts(poly: BPoly):
     """The multiplicity m of ``poly`` at the origin, and the strict
     transform and branch in chart "x", then in chart "t"."""
@@ -233,7 +226,10 @@ def _sites_on_exceptional(strict_x: BPoly, branch_x: BPoly, strict_t: BPoly,
     with its flags, and the number of branch ends on the line.
 
     Chart "x" sees every point of the line except the origin of chart "t";
-    candidates are the zeros of the strict transform restricted to the line.
+    candidates are the zeros of the strict transform restricted to the line,
+    taken a factor at a time.  At even m a simple factor is a transversal
+    crossing of the branch, so its points are regular wherever they lie;
+    only the other points are re-centred, over the field containing them.
     ``flags`` say whether the lines x = 0 and t = 0 through the blown-up
     point are exceptional.  At a site the new line is flagged, and the old
     line through it (t = 0 at tau = 0 in chart "x", x = 0 at the origin of
@@ -249,17 +245,60 @@ def _sites_on_exceptional(strict_x: BPoly, branch_x: BPoly, strict_t: BPoly,
     """
     fld = strict_x.field
     on_x, on_t = flags
+    odd = branch_x.x_valuation() > 0  # the branch contains the line
+    # never empty, as x does not divide strict_x; each factor is
+    # (tau, 1, simple) at a rational point, else (factor, degree, simple)
+    line = [j for i, j in strict_x.terms if not i]
+    if len(line) == 1:
+        # a monomial c*t^v vanishes on the line only at tau = 0
+        factors = [(fld.zero, 1, line[0] == 1)] if line[0] else []
+    elif fld.char:
+        factors = [(fld.neg(irr.coeffs[0]) if irr.degree == 1 else irr,
+                    irr.degree, e == 1)
+                   for irr, e in u_factor(strict_x.restrict_x0())[1]]
+    else:
+        roots, cofactor = u_rational_roots(strict_x.restrict_x0())
+        factors = [(tau, 1, e == 1) for tau, e in roots]
+        if not cofactor.is_constant():
+            simple = ugcd(cofactor, cofactor.deriv()).is_constant()
+            factors.append((cofactor, cofactor.degree, simple))
     sites: list[tuple[SingularSite, tuple[bool, bool]]] = []
     ends = 0
-    for local, big, tau, copies in _line_points(strict_x, branch_x):
-        old = on_t and tau == fld.zero
-        # simple irrational points over Q (local None) are regular
-        if local is not None and local.total_valuation() >= 2:
-            label = fld.fmt(tau) if big is fld else f"{big.fmt(tau)} in {big.name}"
-            site = SingularSite("x", label, BranchGerm(local), copies)
+    for tau, degree, simple in factors:
+        old = on_t and degree == 1 and tau == fld.zero
+        if simple and not odd:
+            # a transversal crossing of the branch: its points are regular
+            if not old:
+                ends += degree
+            continue
+        if degree == 1:
+            local, label = branch_x.translate_t(tau), fld.fmt(tau)
+        elif not fld.char:
+            if odd:
+                raise IrrationalPointError(
+                    "singular point with irrational coordinates; rerun over a "
+                    "finite field, extensions of Q are not supported"
+                )
+            raise IrrationalPointError(
+                "multiple branch point with irrational coordinates; rerun "
+                "over a finite field, extensions of Q are not supported"
+            )
+        elif fld.k * degree > MAX_EXTENSION_DEGREE:
+            raise ExtensionDegreeError(
+                f"conjugate points need F{fld.p}^{fld.k * degree}, past "
+                f"the extension degree bound {MAX_EXTENSION_DEGREE}"
+            )
+        else:
+            big = splitting_extension(fld, degree)
+            embed = extension_embedding(fld, big)
+            tau = u_roots(UPoly(big, [embed(c) for c in tau.coeffs]))[0]
+            local = branch_x.map_to(big, embed).translate_t(tau)
+            label = f"{big.fmt(tau)} in {big.name}"
+        if local.total_valuation() >= 2:
+            site = SingularSite("x", label, BranchGerm(local), degree)
             sites.append((site, (True, old)))
         elif not old:
-            ends += copies
+            ends += degree
     # origin of chart "t" = the one direction chart "x" misses
     if branch_t.total_valuation() >= 2:
         site = SingularSite("t", "0", BranchGerm(branch_t), 1)
@@ -267,61 +306,6 @@ def _sites_on_exceptional(strict_x: BPoly, branch_x: BPoly, strict_t: BPoly,
     elif strict_t.eval_origin() == fld.zero and not on_x:
         ends += 1
     return sites, ends
-
-
-def _line_points(strict_x: BPoly, poly: BPoly):
-    """Points of ``strict_x`` on the exceptional line x = 0 of chart "x",
-    one per orbit of conjugates.
-
-    Yields ``(local, field, tau, copies)``: ``poly`` re-centred at t = tau
-    over ``field``, the smallest field containing tau, and the orbit size.
-    Over Q the simple irrational points come first, together, as
-    ``(None, QQ, None, count)``; an irrational point that is multiple, or
-    that lies on a ``poly`` containing the line, raises IrrationalPointError.
-    """
-    fld = strict_x.field
-    # never empty: x does not divide strict_x
-    line = [j for i, j in strict_x.terms if not i]
-    if len(line) == 1:
-        # a monomial c*t^v vanishes on the line only at tau = 0
-        if line[0]:
-            yield poly, fld, fld.zero, 1
-        return
-    restriction = strict_x.restrict_x0()
-    if fld.char == 0:
-        roots, cofactor = u_rational_roots(restriction)
-        if not cofactor.is_constant():
-            if poly.x_valuation() > 0:
-                # every intersection with the line is singular, including
-                # the irrational ones we cannot re-center over Q
-                raise IrrationalPointError(
-                    "singular point with irrational coordinates; rerun over a "
-                    "finite field, extensions of Q are not supported"
-                )
-            if not ugcd(cofactor, cofactor.deriv()).is_constant():
-                raise IrrationalPointError(
-                    "multiple branch point with irrational coordinates; rerun "
-                    "over a finite field, extensions of Q are not supported"
-                )
-            yield None, fld, None, cofactor.degree
-        for tau, _ in roots:
-            yield poly.translate_t(tau), fld, tau, 1
-        return
-    _, factors = u_factor(restriction)
-    for irr, _ in factors:
-        if irr.degree == 1:
-            tau = fld.neg(irr.coeffs[0])
-            yield poly.translate_t(tau), fld, tau, 1
-        else:
-            if fld.k * irr.degree > MAX_EXTENSION_DEGREE:
-                raise ExtensionDegreeError(
-                    f"conjugate points need F{fld.p}^{fld.k * irr.degree}, past "
-                    f"the extension degree bound {MAX_EXTENSION_DEGREE}"
-                )
-            big = splitting_extension(fld, irr.degree)
-            embed = extension_embedding(fld, big)
-            tau = u_roots(UPoly(big, [embed(c) for c in irr.coeffs]))[0]
-            yield poly.map_to(big, embed).translate_t(tau), big, tau, irr.degree
 
 
 def canonical_resolution(germ: BranchGerm, *,
@@ -336,9 +320,10 @@ def canonical_resolution(germ: BranchGerm, *,
 
     The blow-up tree is walked once, from an explicit stack, so the only
     limit on its depth is ``depth_limit``: at most that many blow-ups
-    (ResolutionDepthError beyond).  A point that needs a field F_{p^k} with
+    (ResolutionDepthError beyond).  A singular point that needs F_{p^k} with
     k > MAX_EXTENSION_DEGREE raises ExtensionDegreeError, naming the centre
-    blown up.  The negligible class is read off the same walk.
+    blown up; regular points need no field.  The negligible class is read
+    off the same walk.
     """
     b1, b0 = normalize_branch(germ)
     steps, negligible = _resolve(b1, depth_limit)
@@ -398,7 +383,8 @@ def _resolve(b1: BranchGerm, depth_limit: int) -> tuple[list[BlowupStep], str]:
                 f"resolution depth exceeded ({depth_limit} blow-ups)"
             )
         try:
-            mult, sites, ends = _blowup(current, flags)
+            mult, charts = _charts(current.poly)
+            sites, ends = _sites_on_exceptional(*charts, flags)
         except ExtensionDegreeError as exc:
             raise ExtensionDegreeError(f"{exc} (blow-up centre: {center})") from None
         if not steps:

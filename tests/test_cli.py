@@ -122,6 +122,21 @@ def test_resolve_extension_degree_bound_exit_1():
         f"degree bound {MAX_EXTENSION_DEGREE} (blow-up centre: origin)"]
 
 
+def test_resolve_regular_conjugate_points_need_no_field():
+    # the 16 tangents of x^16 = 2 t^16 are conjugate over F5 but each is a
+    # transversal crossing, so no field F5^16 is built for them
+    code, out, _ = run_cli_within(
+        1, ["resolve", "x^16 - 2*t^16", "--field", "F5", "--no-timestamp"],
+        "x^16 - 2*t^16 over F5")
+    assert code == 0
+    assert "total    xi            28" in out
+    assert "total    K2-drop       98" in out
+    code, out, _ = run_cli_within(
+        1, ["resolve", "x^28 - 2*t^28", "--field", "F5", "--no-timestamp"],
+        "x^28 - 2*t^28 over F5")
+    assert code == 0 and "summary: PASS" in out
+
+
 def test_resolve_depth_guard_exit_1():
     code, _, err = run_cli(["resolve", "x*t*(x-t)", "--depth-limit", "2"])
     assert code == 1

@@ -85,3 +85,8 @@ def test_extension_field_tower_sizes():
 def test_primes_between():
     assert primes_between(7, 19) == [7, 11, 13, 17, 19]
     assert is_prime(997) and not is_prime(999)
+    # the sieve against trial division, edge ranges included
+    for lo, hi in [(-5, 1), (0, 1), (9, 4), (2, 2), (2, 30), (0, 3), (4, 4),
+                   (90, 97), (97, 97), (24, 28), (0, 10000)]:
+        assert primes_between(lo, hi) == [n for n in range(lo, hi + 1)
+                                          if is_prime(n)], (lo, hi)

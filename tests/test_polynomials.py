@@ -276,6 +276,14 @@ def test_bivariate_squarefree_reassembly_and_coprimality(spec):
         for i in range(len(parts)):
             for j in range(i + 1, len(parts)):
                 assert b_gcd(parts[i][0], parts[j][0]).is_constant()
+        # each part is squarefree: gcd(g, g_x, g_t) = 1, by the remainder
+        # sequence rather than by the certificate that b_squarefree tries
+        for g, _ in parts:
+            common = g
+            for partial in (g.deriv_x(), g.deriv_t()):
+                if not partial.is_zero():
+                    common = b_gcd(common, partial)
+            assert common.is_constant(), (spec, g.fmt())
 
 
 @pytest.mark.parametrize("spec", ["F5", "F5^2", "Q"])

@@ -200,6 +200,13 @@ def test_resolution_even_multiplicity_irrational_simple_points_ok():
 def test_resolution_irrational_over_q():
     with pytest.raises(IrrationalPointError):
         canonical_resolution(germ("t*(x^2 - 2*t^2)"))
+    # even multiplicity, but the irrational tangents are double: each point
+    # would have to be re-centred to tell whether it is singular
+    with pytest.raises(IrrationalPointError, match="^multiple branch point "
+                       "with irrational coordinates; rerun over a finite "
+                       "field, extensions of Q are not supported$"):
+        canonical_resolution(germ("(x^2 - 2*t^2)^2 + x^5"))
+    assert canonical_resolution(germ("(x^2 - 2*t^2)^2 + x^5", "F5")).xi == 1
 
 
 def test_is_negligible_raises_what_resolution_raises():
@@ -451,6 +458,21 @@ def test_shape_shortcuts_skip_work(monkeypatch, spec):
     canonical_resolution(germ("x*t*(x - t)", spec))
     assert calls["b_gcd"] > 0 and calls["b_exact_div"] > 0
     assert calls["u_rational_roots" if spec == "Q" else "u_factor"] > 0
+
+
+def test_regular_conjugate_points_build_no_field(monkeypatch):
+    # at even m a simple zero of the line restriction is a transversal
+    # crossing, so its conjugate points are counted as regular where they
+    # are; at odd m the line stays in the branch and the points are nodes
+    calls = Counter()
+    _count_calls(monkeypatch, covergeo.resolution, "splitting_extension", calls)
+    for expr, class_ in (("x^2 - 2*t^2", NEGLIGIBLE_FIRST),
+                         ("x^8 - 2*t^8", NOT_NEGLIGIBLE)):
+        trace = canonical_resolution(germ(expr, "F5"))
+        assert len(trace.steps) == 1 and trace.negligible == class_
+    assert calls == Counter()
+    canonical_resolution(germ("t*(x^2 - 2*t^2)", "F5"))
+    assert calls["splitting_extension"] == 1
 
 
 # -- metamorphic properties ----------------------------------------------------
