@@ -306,7 +306,8 @@ def cmd_kappa(args) -> int:
         return USAGE_ERROR
     report.add("columns", "p", "conjectural", "proven-lower", "note",
                "gap-to-1/12")
-    gaps = [geo.kappa_limit_gap(row.p) if row.p >= 5 else None for row in rows]
+    # kappa_limit_gap without its primality test, which the sieve has done
+    gaps = [Fraction(1, 12) - row.conjectural if row.p >= 5 else None for row in rows]
     for row, gap in zip(rows, gaps):
         report.add("kappa", row.p, row.conjectural, row.proven_lower,
                    row.note, gap)

@@ -25,6 +25,15 @@ class BPoly:
         self.terms = {e: c for e, c in dict(terms).items() if c != field.zero}
 
     @classmethod
+    def _adopt(cls, field, terms: dict):
+        """Wrap ``terms`` as it is, for a caller that knows every coefficient
+        is nonzero and hands the dict over."""
+        out = cls.__new__(cls)
+        out.field = field
+        out.terms = terms
+        return out
+
+    @classmethod
     def zero(cls, field):
         return cls(field, {})
 
@@ -137,15 +146,18 @@ class BPoly:
             return self
         if f.char == 0:
             return BPoly(f, _q_translate_t(self.terms, a))
+        # binomial expansion of each term; a Taylor shift by Horner's rule
+        # measured slower, as the x-columns are sparse
+        pows = [f.one]
+        for _ in range(max(j for _, j in self.terms)):
+            pows.append(f.mul(pows[-1], a))
         out: dict = {}
         for (i, j), c in self.terms.items():
-            pw = f.one
             for r in range(j, -1, -1):
-                coef = f.mul(c, f.mul(f.from_int(math.comb(j, r)), pw))
+                coef = f.mul(c, f.mul(f.from_int(math.comb(j, r)), pows[j - r]))
                 if coef != f.zero:
                     e = (i, r)
                     out[e] = f.add(out.get(e, f.zero), coef)
-                pw = f.mul(pw, a)
         return BPoly(f, out)
 
     def map_to(self, new_field, embed):
@@ -395,15 +407,22 @@ def b_squarefree(f: BPoly) -> list[tuple[BPoly, int]]:
 
     A univariate image certifies most squarefree f before any bivariate gcd:
     over F_q the image is f itself, over Q its integer model mod 2^31 - 1.
-    In each variable in turn, the other is set to v = 1, 2 or 3 (skipping
-    v = 0 in the field) until g = f(x, v) keeps the x-degree of f and
+    In a variable, say x, the other is set to v = 1, 2 or 3 (skipping v = 0
+    in the field) until g = f(x, v) keeps the x-degree of f and
     gcd(g, g') = 1; a variable that f does not contain passes at once.  If
     h^2 divides f, then h(x, v)^2 divides g, and the degree test keeps the
-    x-degree of h(x, v) equal to that of h, so both variables passing proves
-    f squarefree (over Q, Gauss's lemma keeps h integral, so the divisibility
-    survives the reduction).  Only a yes is trusted: a failed test, or a
-    constant f, falls through to Yun's loop.  Either way the answer for a
-    squarefree f is [(b_normalize(f), 1)].
+    x-degree of h(x, v) equal to that of h, so a pass rules out every
+    repeated factor h of positive x-degree (over Q, Gauss's lemma keeps h
+    integral, so the divisibility survives the reduction).
+    The image is taken first in the variable of lower degree in f (x on a
+    tie).  If it passes, a repeated factor h can only lie in the other
+    variable, and then h^2 divides every coefficient of a power of the
+    first; so one nonzero such coefficient of degree <= 1 in the other
+    variable certifies f.  Only when every one has degree >= 2 is the image
+    in the other variable needed as well.  Over Q the support of the
+    integer model is that of f, so f's terms decide this.  Only a yes is
+    trusted: a failed test, or a constant f, falls through to Yun's loop.
+    Either way the answer for a squarefree f is [(b_normalize(f), 1)].
     """
     if f.is_zero():
         raise ValueError("cannot decompose the zero polynomial")
@@ -428,8 +447,16 @@ def _certified_squarefree(f: BPoly) -> bool:
         field = _IMAGE_FIELD
         xs = int_x_list(terms)[0]
         image = {(i, j): c % field.p for i, u in enumerate(xs) for j, c in enumerate(u) if c}
-    return all(_image_passes(field, image, max(e[axis] for e in terms), axis)
-               for axis in (0, 1))
+    degrees = [max(e[axis] for e in terms) for axis in (0, 1)]
+    first = 0 if degrees[0] <= degrees[1] else 1
+    if not _image_passes(field, image, degrees[first], first):
+        return False
+    # a repeated factor left by the first image lies in the other variable
+    # alone, so it divides every coefficient of a power of the first one
+    other = 1 - first
+    if {e[first] for e in terms} - {e[first] for e in terms if e[other] > 1}:
+        return True  # a coefficient of degree <= 1 has no square factor
+    return _image_passes(field, image, degrees[other], other)
 
 
 def _image_passes(field, image: dict, degree: int, axis: int) -> bool:

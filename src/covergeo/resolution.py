@@ -28,7 +28,6 @@ from dataclasses import dataclass
 from .polynomials import (
     BPoly,
     UPoly,
-    b_normalize,
     b_squarefree,
     extension_embedding,
     splitting_extension,
@@ -93,18 +92,18 @@ def normalize_branch(germ: BranchGerm) -> tuple[BranchGerm, BranchGerm]:
 
     B1 collects the odd-multiplicity squarefree parts, B0 everything that can
     be pulled out of the cover by normalization.  Either part may be the unit
-    germ 1.
+    germ 1.  Both come out normalized with no scaling: the parts are, and the
+    lexicographically greatest monomial of a product is the product of those
+    of its factors.
     """
-    poly = germ.poly
-    fld = poly.field
-    b1 = BPoly.constant(fld, fld.one)
-    b0 = BPoly.constant(fld, fld.one)
-    for part, e in b_squarefree(poly):
+    b1 = b0 = None
+    for part, e in b_squarefree(germ.poly):
         if e % 2:
-            b1 = b1 * part
+            b1 = part if b1 is None else b1 * part
         for _ in range(e // 2):
-            b0 = b0 * part
-    return BranchGerm(b_normalize(b1)), BranchGerm(b_normalize(b0))
+            b0 = part if b0 is None else b0 * part
+    one = BPoly.constant(germ.field, germ.field.one)
+    return BranchGerm(one if b1 is None else b1), BranchGerm(one if b0 is None else b0)
 
 
 @dataclass(frozen=True)
@@ -201,14 +200,15 @@ def _charts(poly: BPoly):
     # Chart "x" maps the monomial x^i t^j to x^(i+j) t^j and chart "t" to
     # x^i t^(i+j); each strict transform divides that by the m-th power of the
     # line's variable, and each branch adds the line once more at odd m.  Both
-    # maps are injective, so no two terms meet and no coefficient changes.
-    terms = poly.terms
-    strict_x = BPoly(fld, {(i + j - m, j): c for (i, j), c in terms.items()})
-    strict_t = BPoly(fld, {(i, i + j - m): c for (i, j), c in terms.items()})
+    # maps are injective, so no two terms meet and every coefficient is one
+    # of ``poly``, nonzero: the charts adopt their dicts as built.
+    terms, adopt = poly.terms, BPoly._adopt
+    strict_x = adopt(fld, {(i + j - m, j): c for (i, j), c in terms.items()})
+    strict_t = adopt(fld, {(i, i + j - m): c for (i, j), c in terms.items()})
     branch_x, branch_t = strict_x, strict_t
     if m % 2:
-        branch_x = BPoly(fld, {(i + j - m + 1, j): c for (i, j), c in terms.items()})
-        branch_t = BPoly(fld, {(i, i + j - m + 1): c for (i, j), c in terms.items()})
+        branch_x = adopt(fld, {(i + j - m + 1, j): c for (i, j), c in terms.items()})
+        branch_t = adopt(fld, {(i, i + j - m + 1): c for (i, j), c in terms.items()})
     return m, (strict_x, branch_x, strict_t, branch_t)
 
 

@@ -396,8 +396,10 @@ def test_squarefree_certificate_degree_test_over_q():
     # no v in F3 keeps the x-degree: t^2 - 1 vanishes at t = 1 and t = 2
     ("(t^2 - 1)*x^2 + t", [("x^2*t^2 + 2*x^2 + t", 1)]),
     ("((t^2 - 1)*x + t)^2*(x + t)", [("x + t", 1), ("x*t^2 + 2*x + t", 2)]),
-    # g' = 0 in x for every v
-    ("x^3 - t", [("x^3 + 2*t", 1)]),
+    # the image in x passes, but both coefficients of powers of x have
+    # t-degree 3, and g' = 0 in t for every v
+    ("(x + 1)*t^3 + x", [("x*t^3 + t^3 + x", 1)]),
+    # the image in t, of lower degree, finds the square
     ("(x^3 - t)*(x - t)^2", [("x^3 + 2*t", 1), ("x + 2*t", 2)]),
 ])
 def test_squarefree_certificate_falls_back_over_f3(monkeypatch, text, parts):
@@ -406,6 +408,54 @@ def test_squarefree_certificate_falls_back_over_f3(monkeypatch, text, parts):
     assert not _certified(f)
     expected = [(parse_polynomial(g, fld), e) for g, e in parts]
     assert b_squarefree(f) == expected == _yun_only(monkeypatch, f)
+
+
+@pytest.mark.parametrize("text,parts", [
+    # g' = 0 in x for every v, but the image in t, of lower degree, passes,
+    # and the coefficient of t (or t^2) is a constant
+    ("x^3 - t", [("x^3 + 2*t", 1)]),
+    ("x^3 - t^2", [("x^3 + 2*t^2", 1)]),
+])
+def test_squarefree_certificate_passes_over_f3(monkeypatch, text, parts):
+    fld = parse_field_spec("F3")
+    f = parse_polynomial(text, fld)
+    assert _certified(f)
+    expected = [(parse_polynomial(g, fld), e) for g, e in parts]
+    assert b_squarefree(f) == expected == _yun_only(monkeypatch, f)
+
+
+@pytest.mark.parametrize("spec", ["Q", "F5"])
+def test_squarefree_certificate_square_in_the_other_variable(monkeypatch, spec):
+    # the image in x, of lower degree, passes; every coefficient of a power
+    # of x has t-degree 2, so the image in t decides, and it fails
+    fld = parse_field_spec(spec)
+    f = parse_polynomial("t^2*(x + 1)", fld)
+    assert not _certified(f)
+    expected = [(parse_polynomial("x + 1", fld), 1), (parse_polynomial("t", fld), 2)]
+    assert b_squarefree(f) == expected == _yun_only(monkeypatch, f)
+
+
+@pytest.mark.parametrize("spec", ["Q", "F3", "F5", "F7^2"])
+def test_family_germs_certified_by_one_image(monkeypatch, spec):
+    # x^m - t^n with p not dividing min(m, n): the image in the variable of
+    # lower degree passes, and the coefficient of its top power is -1 or 1
+    fld = parse_field_spec(spec)
+    axes = []
+    image_passes = covergeo.polynomials._image_passes
+
+    def counted(field, image, degree, axis):
+        axes.append(axis)
+        return image_passes(field, image, degree, axis)
+
+    monkeypatch.setattr(covergeo.polynomials, "_image_passes", counted)
+    for m in range(1, 10):
+        for n in range(1, 10):
+            if fld.char and min(m, n) % fld.char == 0:
+                continue
+            f = BPoly(fld, {(m, 0): fld.one, (0, n): fld.neg(fld.one)})
+            axes.clear()
+            assert b_squarefree(f) == [(f, 1)], f.fmt()
+            assert axes == [0 if m <= n else 1], f.fmt()
 
 
 def test_bivariate_zero_rejected():

@@ -9,7 +9,7 @@ import covergeo.polynomials
 import covergeo.resolution
 from covergeo.fields import QQ, prime_field
 from covergeo.parsing import parse_field_spec, parse_polynomial
-from covergeo.polynomials import BPoly, b_exact_div, b_squarefree
+from covergeo.polynomials import BPoly, b_exact_div, b_normalize, b_squarefree
 from covergeo.resolution import (
     NEGLIGIBLE_FIRST,
     NEGLIGIBLE_SECOND,
@@ -70,6 +70,31 @@ def test_normalize_mixed():
     b1, b0 = normalize_branch(germ("(x-t)^2*(x+t)", "F7"))
     assert b1.fmt() == "x + t"
     assert b0.fmt() == "x + 6*t"
+
+
+@pytest.mark.parametrize("spec", ["Q", "F5", "F3^2"])
+def test_normalize_keeps_parts_normalized(spec):
+    # the parts of b_squarefree are normalized, and so is a product of
+    # normalized polynomials, so B1 and B0 need no scaling
+    fld = parse_field_spec(spec)
+    rng = random.Random(f"normalized-{spec}")
+    if fld.char == 0:
+        coef = lambda: fld.from_int(rng.choice([-3, -2, -1, 1, 2, 3]))  # noqa: E731
+    else:
+        coef = lambda: fld.decode(rng.randrange(1, fld.order))  # noqa: E731
+    repeated = 0
+    for _ in range(20):
+        f = BPoly.constant(fld, coef())
+        for _ in range(rng.randint(1, 3)):
+            factor = BPoly(fld, {(rng.randint(1, 3), 0): coef(),
+                                 (0, rng.randint(1, 3)): coef(), (1, 1): coef()})
+            for _ in range(rng.randint(1, 4)):
+                f = f * factor
+        b1, b0 = normalize_branch(BranchGerm(f))
+        assert b1.poly == b_normalize(b1.poly) and b0.poly == b_normalize(b0.poly), f.fmt()
+        assert b_normalize(b1.poly * b0.poly * b0.poly) == b_normalize(f), f.fmt()
+        repeated += not b0.poly.is_constant()
+    assert repeated >= 10
 
 
 # -- single blow-up ----------------------------------------------------------
