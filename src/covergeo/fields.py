@@ -20,7 +20,19 @@ from fractions import Fraction
 from .univariate import UPoly, u_factor
 
 
+# is_prime divides by every odd number up to sqrt(p): about 23,000 trial
+# divisions at this bound, which admits every prime the CLI, the verify
+# suites, the tests and the benchmark use
+MAX_CHARACTERISTIC = 2**31 - 1
+
+
 def is_prime(n: int) -> bool:
+    """Trial division; every characteristic is tested here, so a number past
+    MAX_CHARACTERISTIC raises ValueError before any division."""
+    if n > MAX_CHARACTERISTIC:
+        raise ValueError(
+            f"field characteristic {n} exceeds the bound {MAX_CHARACTERISTIC}"
+        )
     if n < 2:
         return False
     if n < 4:
@@ -287,20 +299,10 @@ def _fmt_intpoly(coeffs, var: str) -> str:
 QQ = RationalField()
 
 
-# is_prime divides by every odd number up to sqrt(p): about 23,000 trial
-# divisions at this bound, which admits every prime the CLI, the verify
-# suites, the tests and the benchmark use
-MAX_CHARACTERISTIC = 2**31 - 1
-
-
 @functools.lru_cache(maxsize=None)
 def prime_field(p: int) -> PrimeField:
     if p == 2:
         raise ValueError("characteristic 2 is not supported")
-    if p > MAX_CHARACTERISTIC:
-        raise ValueError(
-            f"field characteristic {p} exceeds the bound {MAX_CHARACTERISTIC}"
-        )
     if not is_prime(p):
         raise ValueError(f"field characteristic {p} is not prime")
     return PrimeField(p)

@@ -4,15 +4,18 @@
 exponent map with no zero coefficients.  The univariate layer lives in
 ``covergeo.univariate``; its public names are re-exported here.  The
 bivariate gcd and exact division run one x-list core over D[t]: D = Z over Q,
-after clearing denominators (``covergeo._intpoly``), and D = F_q over F_q.
+on the integer model with denominators cleared once per call (``int_x_list``),
+and D = F_q over F_q.  The same core, over D = Z, gives Z[t] its gcd and
+exact division.
 """
 
 from __future__ import annotations
 
 import math
+import operator
 from fractions import Fraction
+from functools import reduce
 
-from ._intpoly import ZT, _z_primitive, int_x_list, q_terms
 from .fields import PrimeField, extension_field
 from .univariate import UPoly, u_factor, u_rational_roots, u_roots, u_squarefree, ugcd  # noqa: F401
 
@@ -234,11 +237,12 @@ def _q_translate_t(terms: dict, a) -> dict:
 # ---------------------------------------------------------------------------
 # Bivariate gcd, exact division and squarefree decomposition, via the
 # x-major view: an x-list is a polynomial in x (increasing degree, no
-# trailing zeros) whose coefficients lie in D[t].  The core below is written
-# once against a coefficient ring: ``_intpoly.ZT`` (Z[t] on int lists, the
-# model over Q) or ``_FqT`` (F_q[t] on UPoly).  A ring gives zero, one, mul,
-# sub, exact_div (ValueError if inexact), gcd (normalized, so a unit gcd is
-# one), normalize (the associate that gcd(zero, u) returns) and
+# trailing zeros) whose coefficients lie in a ring D[t].  The core below is
+# written once against a coefficient ring: ``ZT`` (Z[t] on int lists, the
+# model over Q), ``_FqT`` (F_q[t] on UPoly), or ``_Z`` (plain ints, on which
+# the core is Z[t] itself, with an int list as the x-list).  A ring gives
+# zero, one, mul, sub, exact_div (ValueError if inexact), gcd (normalized, so
+# a unit gcd is one), normalize (the associate that gcd(zero, u) returns) and
 # lead_multipliers(lead_a, lead_b) = (m_a, m_b) with m_a*lead_a = m_b*lead_b.
 
 
@@ -261,6 +265,103 @@ class _FqT:
     @staticmethod
     def lead_multipliers(lead_a: UPoly, lead_b: UPoly):
         return lead_b, lead_a
+
+
+class _Z:
+    """Z on Python ints as the coefficient ring of an int list."""
+
+    zero, one = 0, 1
+    mul, sub = operator.mul, operator.sub
+    gcd, normalize = math.gcd, abs
+
+    @staticmethod
+    def exact_div(a: int, b: int) -> int:
+        q, r = divmod(a, b)
+        if r:
+            raise ValueError("inexact integer division")
+        return q
+
+    @staticmethod
+    def lead_multipliers(lead_a: int, lead_b: int):
+        # m_a > 0, so a pseudo-remainder by a lead of -1 never negates a
+        g = math.gcd(lead_a, lead_b)
+        if lead_b < 0:
+            g = -g
+        return lead_b // g, lead_a // g
+
+
+def _z_sub(a: list[int], b: list[int]) -> list[int]:
+    out = list(a)
+    out.extend([0] * (len(b) - len(a)))
+    for i, c in enumerate(b):
+        out[i] -= c
+    while out and not out[-1]:
+        out.pop()
+    return out
+
+
+def _z_mul(a: list[int], b: list[int]) -> list[int]:
+    if not a or not b:
+        return []
+    out = [0] * (len(a) + len(b) - 1)
+    for i, c in enumerate(a):
+        if c:
+            for j, d in enumerate(b):
+                out[i + j] += c * d
+    return out
+
+
+class ZT:
+    """Z[t] on int lists (increasing degree, no trailing zeros, [] is 0) as
+    the coefficient ring of an x-list, used as the class itself.  Its gcd
+    and exact division are the x-list core over ``_Z``."""
+
+    zero: list[int] = []
+    one = [1]
+    mul = staticmethod(_z_mul)
+    sub = staticmethod(_z_sub)
+
+    @staticmethod
+    def exact_div(a: list[int], b: list[int]) -> list[int]:
+        return _xl_div(_Z, list(a), b)
+
+    @staticmethod
+    def gcd(a: list[int], b: list[int]) -> list[int]:
+        """Gcd with positive leading coefficient; gcd([], []) is []."""
+        if not a or not b:
+            return ZT.normalize(a or b)
+        return ZT.normalize(_xl_gcd(_Z, a, b))
+
+    @staticmethod
+    def normalize(a: list[int]) -> list[int]:
+        return [-v for v in a] if a and a[-1] < 0 else a
+
+    @staticmethod
+    def lead_multipliers(lead_a: list[int], lead_b: list[int]):
+        # lead_b and lead_a over the gcd of their integer contents; not
+        # math.gcd(*lead_a): the argument tuple of a long coefficient list is
+        # a large short-lived allocation, and many of them fragment the heap
+        # (one more pymalloc arena and +0.5 MB peak RSS over 1,700 resolutions)
+        g = reduce(math.gcd, lead_b, reduce(math.gcd, lead_a, 0))
+        return [c // g for c in lead_b], [c // g for c in lead_a]
+
+
+def int_x_list(terms: dict) -> tuple[list[list[int]], int]:
+    """(F, d): F = d*f in Z[t][x] for the nonzero f over Q with these terms."""
+    den = reduce(math.lcm, (c.denominator for c in terms.values()), 1)
+    xs: list[list[int]] = [[] for _ in range(max(i for i, _ in terms) + 1)]
+    for (i, j), c in terms.items():
+        u = xs[i]
+        if len(u) <= j:
+            u.extend([0] * (j + 1 - len(u)))
+        u[j] = c.numerator * (den // c.denominator)
+    return xs, den
+
+
+def q_terms(xs: list[list[int]], num: int, den: int) -> dict:
+    """The terms of (num/den) * xs over Q."""
+    return {(i, j): Fraction(num * c, den)
+            for i, u in enumerate(xs) for j, c in enumerate(u) if c}
 
 
 def _x_list(f: BPoly) -> list[UPoly]:
@@ -299,7 +400,7 @@ def _primitive(ring, xs: list) -> tuple:
 
 
 def _pseudo_rem(ring, a: list, b: list) -> list:
-    # a remainder of a modulo b up to a nonzero factor in D[t]
+    # a remainder of a modulo b up to a nonzero factor in the coefficient ring
     mul, sub = ring.mul, ring.sub
     a = list(a)
     db = len(b) - 1
@@ -383,10 +484,10 @@ def b_exact_div(f: BPoly, g: BPoly) -> BPoly:
         b, den_g = int_x_list(g.terms)
         cont, b = _primitive(ZT, b)
         q = _xl_div(ZT, a, b)
-        c_t = _z_primitive(cont)
+        c, c_t = _primitive(_Z, cont)
         if len(c_t) > 1:
             q = [ZT.exact_div(u, c_t) for u in q]
-        return BPoly(field, q_terms(q, den_g, den_f * (cont[-1] // c_t[-1])))
+        return BPoly(field, q_terms(q, den_g, den_f * c))
     return _from_x_list(field, _xl_div(_FqT(field), _x_list(f), _x_list(g)))
 
 
@@ -415,13 +516,15 @@ def b_squarefree(f: BPoly) -> list[tuple[BPoly, int]]:
     repeated factor h of positive x-degree (over Q, Gauss's lemma keeps h
     integral, so the divisibility survives the reduction).
     The image is taken first in the variable of lower degree in f (x on a
-    tie).  If it passes, a repeated factor h can only lie in the other
-    variable, and then h^2 divides every coefficient of a power of the
-    first; so one nonzero such coefficient of degree <= 1 in the other
-    variable certifies f.  Only when every one has degree >= 2 is the image
-    in the other variable needed as well.  Over Q the support of the
-    integer model is that of f, so f's terms decide this.  Only a yes is
-    trusted: a failed test, or a constant f, falls through to Yun's loop.
+    tie), then in the other.  If the image in one variable passes, a
+    repeated factor h can only lie in the other variable, and then h^2
+    divides every coefficient of a power of the first; so one nonzero such
+    coefficient of degree <= 1 in the other variable certifies f.  Where
+    every one has degree >= 2, the images in both variables must pass.  So
+    the second image is taken only when the first fails, or passes without
+    such a coefficient.  Over Q the support of the integer model is that of
+    f, so f's terms decide this.  Only a yes is trusted: a failed test, or a
+    constant f, falls through to Yun's loop.
     Either way the answer for a squarefree f is [(b_normalize(f), 1)].
     """
     if f.is_zero():
@@ -449,14 +552,17 @@ def _certified_squarefree(f: BPoly) -> bool:
         image = {(i, j): c % field.p for i, u in enumerate(xs) for j, c in enumerate(u) if c}
     degrees = [max(e[axis] for e in terms) for axis in (0, 1)]
     first = 0 if degrees[0] <= degrees[1] else 1
-    if not _image_passes(field, image, degrees[first], first):
-        return False
-    # a repeated factor left by the first image lies in the other variable
-    # alone, so it divides every coefficient of a power of the first one
-    other = 1 - first
-    if {e[first] for e in terms} - {e[first] for e in terms if e[other] > 1}:
-        return True  # a coefficient of degree <= 1 has no square factor
-    return _image_passes(field, image, degrees[other], other)
+    passed = False
+    for axis in (first, 1 - first):
+        if not _image_passes(field, image, degrees[axis], axis):
+            continue
+        # a repeated factor left by this image lies in the other variable
+        # alone, so it divides every coefficient of a power of this one
+        other = 1 - axis
+        if passed or {e[axis] for e in terms} - {e[axis] for e in terms if e[other] > 1}:
+            return True  # both images passed, or a coefficient of degree <= 1
+        passed = True
+    return False
 
 
 def _image_passes(field, image: dict, degree: int, axis: int) -> bool:

@@ -201,6 +201,11 @@ def u_squarefree(f: UPoly) -> list[tuple[UPoly, int]]:
 
 
 def _usqf(f: UPoly, mult: int, parts: dict[int, UPoly]) -> None:
+    # Yun's loop (D. Y. Y. Yun, SYMSAC 1976) on a monic f.  Every operand
+    # below is monic, as gcds, quotients of monic polynomials and p-th roots
+    # of them are.  Step e finds the factors of multiplicity e with p not
+    # dividing e, so each key is set once: at recursion depth k every key is
+    # p^k times a number prime to p.
     if f.is_constant():
         return
     p = f.field.char
@@ -216,12 +221,11 @@ def _usqf(f: UPoly, mult: int, parts: dict[int, UPoly]) -> None:
         y = ugcd(w, d)
         a = w.exact_div(y)
         if not a.is_constant():
-            key = mult * e
-            parts[key] = parts[key] * a if key in parts else a.monic()
+            parts[mult * e] = a
         w, d = y, d.exact_div(y)
         e += 1
     if not d.is_constant():
-        _usqf(_u_pth_root(d.monic()), mult * p, parts)
+        _usqf(_u_pth_root(d), mult * p, parts)
 
 
 def _u_pth_root(f: UPoly) -> UPoly:

@@ -8,8 +8,8 @@ Two families are covered.
 
 * The four local shapes arising on a hyperelliptic fibration's branch
   divisor (classes I-IV), parametrized by the ramification data of the
-  defining function: ``xi_type`` peels the degree-p recursion layer by
-  layer.  Writing l = (p-1)/2 or (p+1)/2, each layer contributes
+  defining function: ``xi_type`` sums the degree-p recursion's layers in
+  closed form.  Writing l = (p-1)/2 or (p+1)/2, each layer contributes
   (p-1)(p-3)/8 (class I) or (p-1)(p+1)/8 (classes II-IV), the class
   swapping I <-> II, staying at III/IV while the valuation stays above p,
   and dropping III -> I, IV -> II at valuation exactly p.  The tame base
@@ -192,28 +192,25 @@ def xi_type(cls: SingularityClass, lam: RamificationType, p: int) -> int:
     cur = cls
     R = lam.R
     if cls.counts_as_pole:
+        # each layer adds inc_heavy and takes p off R: a wild point stays in
+        # class for j - 1 layers (valuation p*j > p) and drops out of the
+        # pole at the j-th (valuation exactly p); a tame one stays in class
+        # while its valuation R + 1 exceeds p
+        layers = lam.j if lam.is_wild else R // p
+        total += layers * inc_heavy
+        R -= layers * p
         if lam.is_wild:
-            j = lam.j
-            while j >= 2:  # valuation p*j > p: stay in class
-                total += inc_heavy
-                R -= p
-                j -= 1
-            total += inc_heavy  # valuation exactly p: drop out of the pole
-            R -= p
             cur = SingularityClass.I if cls is SingularityClass.III else SingularityClass.II
-        else:
-            while R >= p:  # tame with valuation R+1 > p: stay in class
-                total += inc_heavy
-                R -= p
     if cur in (SingularityClass.I, SingularityClass.II):
-        while R >= p:
-            total += inc_light if cur is SingularityClass.I else inc_heavy
-            cur = (
-                SingularityClass.II
-                if cur is SingularityClass.I
-                else SingularityClass.I
-            )
-            R -= p
+        # while R >= p, each layer takes p off R and swaps I <-> II, adding
+        # inc_light from class I and inc_heavy from class II
+        layers, R = divmod(R, p)
+        first, second = (
+            (inc_light, inc_heavy) if cur is SingularityClass.I else (inc_heavy, inc_light)
+        )
+        total += (layers + 1) // 2 * first + layers // 2 * second
+        if layers % 2:
+            cur = SingularityClass.II if cur is SingularityClass.I else SingularityClass.I
     if (R + 1) % p == 0:
         raise ValueError(
             "inconsistent ramification data: residual index R = -1 mod p "

@@ -316,6 +316,46 @@ def test_fibration_overflowing_number_exit_2(tmp_path):
     assert err.count("\n") == 1 and "malformed fibration datum" in err
 
 
+def test_xi_type_large_ramification_is_closed_form(tmp_path):
+    # one loop pass per degree-p layer took over 10 s on each of these
+    code, out, _ = run_cli_within(
+        2, ["xi", "--type", "I", "--tame", "R=10000000000", "--p", "5",
+            "--no-timestamp", "--format", "records"], "xi at tame R = 10^10")
+    assert code == 0 and "xi\ttype\tI\ttame R=10000000000\t4000000000" in out
+    code, out, _ = run_cli_within(
+        2, ["xi", "--type", "III", "--wild", "j=100000000", "R=500000000", "--p", "5",
+            "--no-timestamp", "--format", "records"], "xi at wild j = 10^8")
+    assert code == 0 and "xi\ttype\tIII\twild j=100000000 R=500000000\t300000000" in out
+    datum = {
+        "p": 5,
+        "q": 2,
+        "points": [{"class": "IV", "kind": "tame", "R": 10**10},
+                   {"class": "I", "kind": "tame", "R": 1},
+                   {"class": "I", "kind": "tame", "R": 10**10 + 3}],
+    }
+    path = tmp_path / "datum.json"
+    path.write_text(json.dumps(datum), encoding="utf-8")
+    code, out, _ = run_cli_within(
+        2, ["fibration", str(path), "--no-timestamp", "--format", "records"],
+        "a fibration with a point at R = 10^10")
+    assert code == 0 and "invariant\tchi-smooth\t2" in out
+
+
+@pytest.mark.parametrize("argv", [
+    ["raynaud", "--p", "1000000000000000003", "--l", "2"],
+    ["xi", "--type", "I", "--tame", "R=3", "--p", "1000000000000000003"],
+    ["genus", "--p", "1000000000000000003", "--upper", "4"],
+])
+def test_characteristic_bound_for_every_command(argv):
+    # the primality test rejects a characteristic past the bound before its
+    # trial division, which took over 10 s on each of these
+    code, out, err = run_cli_within(2, argv, f"{argv[0]} past the bound")
+    assert code == 2 and out == ""
+    assert err.splitlines() == [
+        f"covergeo {argv[0]}: field characteristic 1000000000000000003 exceeds "
+        f"the bound {MAX_CHARACTERISTIC}"]
+
+
 def test_raynaud_command():
     code, out, _ = run_cli(["raynaud", "--p", "5", "--l", "4",
                             "--no-timestamp", "--format", "records"])

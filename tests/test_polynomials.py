@@ -393,8 +393,10 @@ def test_squarefree_certificate_degree_test_over_q():
 
 
 @pytest.mark.parametrize("text,parts", [
+    # the image in x, of lower degree, finds the square; the image in t
+    # passes, but every coefficient of a power of t is divisible by (x + 1)^2
+    ("(x + 1)^2*(x + t^4)", [("x + t^4", 1), ("x + 1", 2)]),
     # no v in F3 keeps the x-degree: t^2 - 1 vanishes at t = 1 and t = 2
-    ("(t^2 - 1)*x^2 + t", [("x^2*t^2 + 2*x^2 + t", 1)]),
     ("((t^2 - 1)*x + t)^2*(x + t)", [("x + t", 1), ("x*t^2 + 2*x + t", 2)]),
     # the image in x passes, but both coefficients of powers of x have
     # t-degree 3, and g' = 0 in t for every v
@@ -415,6 +417,9 @@ def test_squarefree_certificate_falls_back_over_f3(monkeypatch, text, parts):
     # and the coefficient of t (or t^2) is a constant
     ("x^3 - t", [("x^3 + 2*t", 1)]),
     ("x^3 - t^2", [("x^3 + 2*t^2", 1)]),
+    # no v in F3 keeps the x-degree: t^2 - 1 vanishes at t = 1 and t = 2;
+    # the image in t passes, and the coefficient of t is a constant
+    ("(t^2 - 1)*x^2 + t", [("x^2*t^2 + 2*x^2 + t", 1)]),
 ])
 def test_squarefree_certificate_passes_over_f3(monkeypatch, text, parts):
     fld = parse_field_spec("F3")
@@ -422,6 +427,25 @@ def test_squarefree_certificate_passes_over_f3(monkeypatch, text, parts):
     assert _certified(f)
     expected = [(parse_polynomial(g, fld), e) for g, e in parts]
     assert b_squarefree(f) == expected == _yun_only(monkeypatch, f)
+
+
+@pytest.mark.parametrize("text", ["x^5 - t^7", "x^5 - t^12", "x^25 - t^26"])
+def test_squarefree_certificate_from_the_other_image_over_f5(monkeypatch, text):
+    # the image in x, of lower degree, is a p-th power (g' = 0) for every v;
+    # the image in t passes, and the coefficient of its top power is -1
+    fld = parse_field_spec("F5")
+    f = parse_polynomial(text, fld)
+    calls = []
+    gcd = covergeo.polynomials.b_gcd
+
+    def counted(*args):
+        calls.append(args)
+        return gcd(*args)
+
+    monkeypatch.setattr(covergeo.polynomials, "b_gcd", counted)
+    assert b_squarefree(f) == [(b_normalize(f), 1)]
+    assert calls == []
+    assert _yun_only(monkeypatch, f) == [(b_normalize(f), 1)]
 
 
 @pytest.mark.parametrize("spec", ["Q", "F5"])
@@ -519,6 +543,46 @@ def test_bivariate_gcd_and_squarefree_against_sympy(spec):
             assert b_squarefree(f) == sorted(
                 ((b_normalize(h), e) for e, h in parts.items()),
                 key=lambda he: (he[1], he[0].sort_key()))
+
+
+def test_zt_ring_against_sympy():
+    # Z[t] on int lists (increasing degree, [] is 0), the coefficient ring
+    # of the integer model over Q: gcd with positive leading coefficient,
+    # exact division that raises ValueError when the quotient leaves Z[t]
+    sympy = pytest.importorskip("sympy")
+    ZT = covergeo.polynomials.ZT
+    t = sympy.symbols("t")
+
+    def to_sympy(a):
+        return sympy.Poly(list(reversed(a)) or [0], t, domain=sympy.ZZ)
+
+    def from_sympy(poly):
+        return [int(c) for c in reversed(poly.all_coeffs())] if not poly.is_zero else []
+
+    def random_zt(rng, degree):
+        return [rng.randint(-4, 4) for _ in range(degree)] + [rng.choice([-3, -2, -1, 1, 2, 3])]
+
+    pairs = [([], []), ([], [-1, -2]), ([3, -6], []), ([6], [4, 2]), ([-6], [-4]),
+             ([5], []), ([1, 1], [1, 2]), ([2, 2], [4, 8]), ([1, 0, -1], [-1, -1]),
+             ([0, -4, 0, -2], [0, 6, 0, 3])]
+    rng = random.Random(15)
+    for _ in range(60):
+        common = random_zt(rng, rng.randint(0, 2))
+        a = ZT.mul(common, random_zt(rng, rng.randint(0, 3)))
+        b = ZT.mul(common, random_zt(rng, rng.randint(0, 3)))
+        pairs.append((a, b))
+    for a, b in pairs:
+        g = ZT.gcd(a, b)
+        assert g == from_sympy(to_sympy(a).gcd(to_sympy(b))), (a, b)
+        assert ZT.gcd(b, a) == g
+        if g:
+            assert ZT.exact_div(a, g) == from_sympy(to_sympy(a).exquo(to_sympy(g))), (a, g)
+        if b:
+            assert ZT.exact_div(ZT.mul(a, b), b) == a, (a, b)
+    for a, b in [([1, 0, 1], [1, 1]), ([3, 3], [2, 2]), ([1], [2]), ([0, 1], [2, 0, 1]),
+                 ([2, 1], [0, 1])]:
+        with pytest.raises(ValueError):
+            ZT.exact_div(a, b)
 
 
 @pytest.mark.parametrize("spec,exponents", [("Q", (0, 1, 2, 5, 12)),

@@ -120,6 +120,61 @@ def test_type_tame_equals_family():
                 )
 
 
+def _xi_type_by_layers(cls, lam, p):
+    # the degree-p recursion one layer at a time
+    if p < 5 or any(p % d == 0 for d in range(2, p)):
+        raise ValueError("class I-IV invariants need a prime p >= 5")
+    lam.check(p)
+    if cls is I and lam.R < 1:
+        raise ValueError("class I requires R >= 1")
+    inc_light, inc_heavy = (p - 1) * (p - 3) // 8, (p - 1) * (p + 1) // 8
+    total, cur, R = 0, cls, lam.R
+    if cls.counts_as_pole:
+        if lam.is_wild:
+            j = lam.j
+            while j >= 2:
+                total += inc_heavy
+                R -= p
+                j -= 1
+            total += inc_heavy
+            R -= p
+            cur = I if cls is III else II
+        else:
+            while R >= p:
+                total += inc_heavy
+                R -= p
+    if cur in (I, II):
+        while R >= p:
+            total += inc_light if cur is I else inc_heavy
+            cur = II if cur is I else I
+            R -= p
+    if (R + 1) % p == 0:
+        raise ValueError("inconsistent ramification data")
+    a, b = cur.branch_exponents
+    return total + xi_family(a, b, p, R + 1)
+
+
+def test_type_closed_form_matches_layers():
+    # xi_type sums the layers of each stage at once; both sides raise on the
+    # same inputs
+    cases = raised = 0
+    for p in (5, 7, 11, 13):
+        for cls in SingularityClass:
+            for R in range(12 * p):
+                for lam in [RamificationType.tame(R)] + [
+                        RamificationType.wild(j, R) for j in range(1, 6)]:
+                    cases += 1
+                    try:
+                        expected = _xi_type_by_layers(cls, lam, p)
+                    except ValueError:
+                        raised += 1
+                        with pytest.raises(ValueError):
+                            xi_type(cls, lam, p)
+                        continue
+                    assert xi_type(cls, lam, p) == expected, (cls, lam, p)
+    assert (cases, raised) == (10368, 3076)
+
+
 def test_type_depends_on_r_only_for_i_ii():
     for p in (5, 7):
         for r in range(p, 3 * p):
