@@ -334,6 +334,7 @@ def cmd_genus(args) -> int:
         timestamp=not args.no_timestamp,
     )
     try:
+        gen.require_odd_prime(args.p)  # before any row
         if args.upper is not None:
             rec = gen.GenusChangeRecord(args.p, args.upper, args.lower)
             divisible = gen.tate_divisibility(rec)

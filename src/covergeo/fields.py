@@ -1,8 +1,13 @@
 """Exact coefficient fields: the rationals and finite fields F_{p^k}, p odd.
 
 Field objects operate on plain values (``Fraction`` for Q, ``int`` in
-``[0, p)`` for F_p, tuple of ints for F_{p^k}) so that values stay hashable
-and cheap.  Field constructors are cached, hence fields can be compared by
+``[0, p)`` for F_p, and for F_{p^k} the int code sum(c_i p^i) of the
+coefficient vector in a generator g) so that values stay hashable and
+cheap.  Zero is 0 and one is 1 in every finite field, and F_p sits in
+F_{p^k} as the codes 0..p-1.  A field of order at most MAX_TABLE_ORDER
+multiplies, adds and inverts by lookups in log, antilog and Zech tables
+built once per field; a larger one computes on the base-p digits of the
+codes.  Field constructors are cached, hence fields can be compared by
 identity.  Extension fields choose their defining polynomial
 deterministically: the monic irreducible of the required degree whose
 non-leading coefficient vector, read as base-p digits (constant term least
@@ -15,6 +20,7 @@ from __future__ import annotations
 
 import functools
 import math
+import operator
 from fractions import Fraction
 
 from .univariate import UPoly, u_factor
@@ -24,6 +30,13 @@ from .univariate import UPoly, u_factor
 # divisions at this bound, which admits every prime the CLI, the verify
 # suites, the tests and the benchmark use
 MAX_CHARACTERISTIC = 2**31 - 1
+
+# An extension field of at most this order keeps log, antilog and Zech
+# tables.  The build is O(q) at 1-10 us per element (about 65 ms and 0.75 MB
+# for F_3^8 = 6,561, CPython 3.11); around this order a resolution that
+# touches a new field saves about what the tables cost, and at F_11^4 =
+# 14,641 the digit arithmetic is already faster for one resolution.
+MAX_TABLE_ORDER = 2**13
 
 
 def is_prime(n: int) -> bool:
@@ -186,8 +199,16 @@ class PrimeField:
 
 
 class ExtensionField:
-    """F_{p^k} = F_p[g]/(modulus); elements are coefficient tuples of length k
-    in increasing powers of the generator g."""
+    """F_{p^k} = F_p[g]/(modulus).  An element is the int code
+    c_0 + c_1 p + ... + c_{k-1} p^(k-1) of its coefficients in
+    c_0 + c_1 g + ... + c_{k-1} g^(k-1), so zero is 0, one is 1, F_p is
+    0..p-1 and elements sort by their codes.
+
+    The methods below are the digit arithmetic: decode to coefficients,
+    compute in F_p[g], encode.  A field of order at most MAX_TABLE_ORDER
+    replaces them by lookups in its log, antilog and Zech tables; a larger
+    field keeps them, and tests compare the tables against them.
+    """
 
     def __init__(self, p: int, k: int, modulus: tuple[int, ...]):
         self.char = p
@@ -196,57 +217,84 @@ class ExtensionField:
         self.order = p**k
         self.modulus = modulus  # monic, length k+1
         self.name = f"F{p**k}"
-        self.zero = (0,) * k
-        self.one = (1,) + (0,) * (k - 1)
+        self.zero = 0
+        self.one = 1
         # g^k expressed in lower powers
         self._top = tuple(-c % p for c in modulus[:k])
-        self._inverses: dict[tuple[int, ...], tuple[int, ...]] = {}
+        self._places = [p**i for i in range(k)]
+        self.tabled = self.order <= MAX_TABLE_ORDER
+        if self.tabled:
+            self._tabulate()
 
-    def from_int(self, n: int):
-        return (n % self.p,) + (0,) * (self.k - 1)
+    def digits(self, a: int) -> list[int]:
+        """The k coefficients of a, constant term first."""
+        p = self.p
+        return [a // place % p for place in self._places]
+
+    def _encode(self, digits) -> int:
+        return sum(map(operator.mul, digits, self._places))
+
+    def from_int(self, n: int) -> int:
+        return n % self.p
+
+    # digit i of a is a // p^i % p, so (a // p^i + b // p^i) % p is digit i
+    # of a + b
 
     def add(self, a, b):
         p = self.p
-        return tuple((x + y) % p for x, y in zip(a, b))
+        return sum((a // place + b // place) % p * place for place in self._places)
 
     def sub(self, a, b):
         p = self.p
-        return tuple((x - y) % p for x, y in zip(a, b))
+        return sum((a // place - b // place) % p * place for place in self._places)
 
     def neg(self, a):
         p = self.p
-        return tuple(-x % p for x in a)
+        return sum(-(a // place) % p * place for place in self._places)
 
     def mul(self, a, b):
-        p, k = self.p, self.k
+        p, k, places = self.p, self.k, self._places
+        if b < p:
+            a, b = b, a
+        if a < p:  # a scalar of F_p
+            return sum((b // place * a) % p * place for place in places)
+        b = self.digits(b)
         prod = [0] * (2 * k - 1)
-        for i, ai in enumerate(a):
+        for i, place in enumerate(places):
+            ai = a // place % p
             if ai:
                 for j, bj in enumerate(b):
-                    prod[i + j] = (prod[i + j] + ai * bj) % p
-        # reduce degrees >= k using g^k = self._top
+                    prod[i + j] += ai * bj
+        # reduce degrees >= k using g^k = self._top, then each digit mod p
         for d in range(2 * k - 2, k - 1, -1):
-            c = prod[d]
+            c = prod[d] % p
             if c:
-                prod[d] = 0
                 for i, ti in enumerate(self._top):
-                    prod[d - k + i] = (prod[d - k + i] + c * ti) % p
-        return tuple(prod[:k])
+                    prod[d - k + i] += c * ti
+        return self._encode([c % p for c in prod[:k]])
 
     def inv(self, a):
-        if a == self.zero:
+        if not a:
             raise ZeroDivisionError(f"inverse of zero in {self.name}")
-        inverse = self._inverses.get(a)
-        if inverse is None:
-            # a^(q-1) = 1.  Resolutions invert few distinct elements many
-            # times, so each answer is kept.
-            inverse = self._inverses[a] = self.pow(a, self.order - 2)
-        return inverse
+        # extended Euclid in F_p[g], one leading term at a time: s*a = r
+        # modulo the modulus for both pairs (r, s), and deg u >= deg v
+        p = self.p
+        v = self.digits(a)
+        while not v[-1]:
+            v.pop()
+        u, su, sv = list(self.modulus), [], [1]
+        while len(v) > 1:
+            shift, c = len(u) - len(v), -u[-1] * pow(v[-1], -1, p)
+            u, su = _axpy(u, v, c, shift, p), _axpy(su, sv, c, shift, p)
+            if len(u) < len(v):
+                u, su, v, sv = v, sv, u, su
+        c = pow(v[0], -1, p)
+        return self._encode([s * c % p for s in sv])
 
     def pow(self, a, e: int):
         if e < 0:
             a, e = self.inv(a), -e
-        result = self.one
+        result = 1
         while e > 0:
             if e & 1:
                 result = self.mul(result, a)
@@ -258,27 +306,103 @@ class ExtensionField:
         # Frobenius has order k, so x -> x^(p^(k-1)) inverts x -> x^p
         return self.pow(a, self.p ** (self.k - 1))
 
+    def _tabulate(self) -> None:
+        """Build the tables in O(q) digit operations and install the lookups.
+
+        With n = q - 1 and a primitive element h: exp[i] = h^i and
+        log[exp[i]] = i for 0 <= i < n, and zech[i] = log(1 + h^i).  log[0]
+        is 2n - 1 and exp is 0 from 2n - 1 on, so a product or a negation
+        with a zero factor lands on a 0 without a test; zech is 2n - 1 where
+        1 + h^i = 0 (i = n/2) for the same reason, and is stored twice so
+        that any log difference in (-n, 2n) indexes it.
+        """
+        q, p, k = self.order, self.p, self.k
+        n, half = q - 1, (q - 1) // 2
+        divisors = [r for r in primes_between(2, n) if n % r == 0]
+        h = next(c for c in range(2, q)
+                 if all(self.pow(c, n // r) != 1 for r in divisors))
+        # multiplying by h is F_p-linear: row i of its matrix gives digit i
+        # of h*v from the digits of v
+        images = [self.digits(self.mul(h, place)) for place in self._places]
+        rows = [[image[i] for image in images] for i in range(k)]
+        exp, v = [1] * n, self.digits(1)
+        for i in range(1, n):
+            v = [sum(map(operator.mul, v, row)) % p for row in rows]
+            exp[i] = self._encode(v)
+        log = [0] * q
+        log[0] = 2 * n - 1
+        for i, c in enumerate(exp):
+            log[c] = i
+        # 1 + c adds one to the constant digit only
+        zech = [log[c - c % p + (c + 1) % p] for c in exp] * 2
+        exp = exp + exp[: n - 1] + [0] * (2 * n)
+        frobenius_inverse = p ** (k - 1) % n
+
+        def add(a, b):
+            if not a:
+                return b
+            if not b:
+                return a
+            la = log[a]
+            return exp[la + zech[log[b] - la]]
+
+        def sub(a, b):
+            if not b:
+                return a
+            lb = log[b] + half  # the log of -b
+            if not a:
+                return exp[lb]
+            la = log[a]
+            return exp[la + zech[lb - la]]
+
+        def neg(a):
+            return exp[log[a] + half]
+
+        def mul(a, b):
+            return exp[log[a] + log[b]]
+
+        def inv(a):
+            if not a:
+                raise ZeroDivisionError(f"inverse of zero in {self.name}")
+            return exp[n - log[a]]
+
+        def pow(a, e: int):
+            if a:
+                return exp[log[a] * e % n]
+            if e < 0:
+                raise ZeroDivisionError(f"inverse of zero in {self.name}")
+            return 0 if e else 1
+
+        def pth_root(a):
+            return exp[log[a] * frobenius_inverse % n] if a else 0
+
+        self.add, self.sub, self.neg, self.mul = add, sub, neg, mul
+        self.inv, self.pow, self.pth_root = inv, pow, pth_root
+
     def encode(self, a) -> int:
-        code = 0
-        for c in reversed(a):
-            code = code * self.p + c
-        return code
+        return a
 
     def decode(self, code: int):
-        out = []
-        for _ in range(self.k):
-            out.append(code % self.p)
-            code //= self.p
-        return tuple(out)
+        return code % self.order
 
     def sort_key(self, a):
-        return self.encode(a)
+        return a
 
     def fmt(self, a) -> str:
-        return _fmt_intpoly(a, "g") if any(a) else "0"
+        return _fmt_intpoly(self.digits(a), "g")
 
     def __repr__(self):
         return self.name
+
+
+def _axpy(u: list[int], v: list[int], c: int, shift: int, p: int) -> list[int]:
+    """u + c*g^shift*v in F_p[g], as coefficients without trailing zeros."""
+    out = u + [0] * (len(v) + shift - len(u))
+    for i, x in enumerate(v):
+        out[i + shift] = (out[i + shift] + c * x) % p
+    while out and not out[-1]:
+        out.pop()
+    return out
 
 
 def _fmt_intpoly(coeffs, var: str) -> str:

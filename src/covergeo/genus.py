@@ -14,6 +14,12 @@ from dataclasses import dataclass
 from .fields import is_prime
 
 
+def require_odd_prime(p: int) -> None:
+    """ValueError unless p is an odd prime within the characteristic bound."""
+    if p < 3 or not is_prime(p):
+        raise ValueError("p must be an odd prime")
+
+
 @dataclass(frozen=True)
 class GenusChangeRecord:
     p: int
@@ -21,8 +27,7 @@ class GenusChangeRecord:
     g_lower: int  # genus of the normalized descent
 
     def __post_init__(self):
-        if self.p < 3 or not is_prime(self.p):
-            raise ValueError("p must be an odd prime")
+        require_odd_prime(self.p)
         if self.g_lower < 0 or self.g_upper < self.g_lower:
             raise ValueError("need g_upper >= g_lower >= 0")
 
@@ -52,8 +57,7 @@ def rational_curve_torsion(g: int, p: int) -> int:
     """Torsion degree 2pg/(p-1) for a non-smooth geometrically rational
     curve of genus g, valid for 0 < g < (p^2 - 1)/2 (the descent is then a
     smooth conic); such a curve also forces 2g >= p - 1."""
-    if p < 3 or not is_prime(p):
-        raise ValueError("p must be an odd prime")
+    require_odd_prime(p)
     if not 0 < g < (p * p - 1) // 2:
         raise ValueError(
             f"g={g} outside the smooth-conic range 0 < g < (p^2-1)/2 = "

@@ -11,6 +11,7 @@ exact division.
 
 from __future__ import annotations
 
+import functools
 import math
 import operator
 from fractions import Fraction
@@ -625,23 +626,27 @@ def _bsqf(f: BPoly, mult: int, parts: dict[int, BPoly]) -> None:
         _bsqf(b_pth_root(b_normalize(d)), mult * f.field.char, parts)
 
 
+@functools.lru_cache(maxsize=None)
 def extension_embedding(small, big):
     """Embedding F_{p^k} -> F_{p^m} (k | m) sending the generator to the
-    canonically least root of the small field's defining polynomial."""
+    canonically least root of the small field's defining polynomial.  F_p
+    has the same codes 0..p-1 in every F_{p^m}."""
     if small.char != big.char:
         raise ValueError("incompatible characteristics")
     if small.k == 1:
-        return lambda a: big.from_int(a)
-    mod = UPoly(big, [big.from_int(c) for c in small.modulus])
-    roots = u_roots(mod)
+        return lambda a: a
+    p = big.p
+    roots = u_roots(UPoly(big, list(small.modulus)))
     if not roots:
         raise ValueError(f"{small.name} does not embed into {big.name}")
     rho = roots[0]
+
     def embed(a):
-        acc = big.zero
-        for c in reversed(a):
-            acc = big.add(big.mul(acc, rho), big.from_int(c))
-        return acc
+        # the code a is a_0 + p*a' with a_0 in F_p, so a = a_0 + g*a'
+        return a if a < p else big.add(a % p, big.mul(rho, embed(a // p)))
+
+    if small.tabled:
+        return [embed(a) for a in range(small.order)].__getitem__
     return embed
 
 

@@ -246,14 +246,15 @@ def _u_pth_root(f: UPoly) -> UPoly:
 
 
 def _field_poly_by_code(field, code: int, length: int) -> UPoly:
-    # canonical enumeration of polynomials: base-(field order) digits, the
-    # constant digit rotated by p, so that over F_{p^k} the constants that
-    # come first are those outside F_p (over F_p the rotation is the identity)
+    # canonical enumeration of polynomials: base-(field order) digits, each
+    # an element's code, the constant digit rotated by p, so that over
+    # F_{p^k} the constants that come first are those outside F_p (over F_p
+    # the rotation is the identity)
     q = field.order
-    coeffs = [field.decode((code + field.p) % q)]
+    coeffs = [(code + field.p) % q]
     for _ in range(1, length):
         code //= q
-        coeffs.append(field.decode(code % q))
+        coeffs.append(code % q)
     return UPoly(field, coeffs)
 
 

@@ -418,6 +418,20 @@ def test_genus_command():
     assert "check\ttower-drops-shrink\tPASS" in out
 
 
+@pytest.mark.parametrize("argv,message", [
+    (["genus", "--p", "9", "--g", "3"], "p must be an odd prime"),
+    (["genus", "--p", "1", "--tower", "7,2,1"], "p must be an odd prime"),
+    (["genus", "--p", "1000000000000000003", "--g", "3"],
+     f"field characteristic 1000000000000000003 exceeds the bound "
+     f"{MAX_CHARACTERISTIC}"),
+])
+def test_genus_validates_p_before_any_row(argv, message):
+    # --g alone used to print a torsion row "n/a (...)" and exit 0
+    code, out, err = run_cli_within(2, argv + ["--no-timestamp"], "genus")
+    assert code == 2 and out == ""
+    assert err.splitlines() == [f"covergeo genus: {message}"]
+
+
 def test_verify_command_suites():
     code, out, _ = run_cli(["verify", "kappa", "--no-timestamp",
                             "--format", "records"])

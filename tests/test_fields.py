@@ -2,7 +2,10 @@ import random
 
 import pytest
 
+from covergeo import fields
 from covergeo.fields import (
+    MAX_TABLE_ORDER,
+    ExtensionField,
     extension_field,
     is_prime,
     minimal_irreducible,
@@ -74,6 +77,87 @@ def test_extension_field_axioms(p, k):
             assert fld.pow(a, fld.order - 1) == fld.one
         assert fld.pow(fld.pth_root(a), p) == a
         assert fld.decode(fld.encode(a)) == a
+
+
+def _digit_reference(fld, monkeypatch):
+    """The same field, computing on the digits of the codes only."""
+    monkeypatch.setattr(fields, "MAX_TABLE_ORDER", 0)
+    ref = ExtensionField(fld.p, fld.k, fld.modulus)
+    assert fld.tabled and not ref.tabled
+    return ref
+
+
+def _assert_same_arithmetic(fld, ref, pairs, exponents):
+    for a, b in pairs:
+        assert fld.add(a, b) == ref.add(a, b), (a, b)
+        assert fld.sub(a, b) == ref.sub(a, b), (a, b)
+        assert fld.mul(a, b) == ref.mul(a, b), (a, b)
+    for a in {a for pair in pairs for a in pair}:
+        assert fld.neg(a) == ref.neg(a), a
+        assert fld.pth_root(a) == ref.pth_root(a), a
+        for e in exponents:
+            if a or e >= 0:
+                assert fld.pow(a, e) == ref.pow(a, e), (a, e)
+        if a:
+            assert fld.inv(a) == ref.inv(a), a
+    for f in (fld, ref):
+        with pytest.raises(ZeroDivisionError):
+            f.inv(0)
+        with pytest.raises(ZeroDivisionError):
+            f.pow(0, -1)
+
+
+@pytest.mark.parametrize("p,k", [(3, 2), (5, 2), (3, 3), (7, 2)])
+def test_tables_match_digit_arithmetic_exhaustively(p, k, monkeypatch):
+    fld = extension_field(p, k)
+    q = fld.order
+    pairs = [(a, b) for a in range(q) for b in range(q)]
+    _assert_same_arithmetic(fld, _digit_reference(fld, monkeypatch), pairs,
+                            [-q - 1, -2, -1, 0, 1, 2, p, q - 2, q - 1, 3 * q + 5])
+
+
+@pytest.mark.parametrize("p,k", [(13, 2), (5, 4)])
+def test_tables_match_digit_arithmetic_seeded(p, k, monkeypatch):
+    fld = extension_field(p, k)
+    rng = random.Random(f"tables-{p}-{k}")
+    pairs = [(rng.randrange(fld.order), rng.randrange(fld.order)) for _ in range(1500)]
+    pairs += [(0, a) for a, _ in pairs[:20]] + [(a, a) for a, _ in pairs[:20]]
+    exponents = [rng.randrange(-fld.order, 2 * fld.order) for _ in range(4)] + [0, 1]
+    _assert_same_arithmetic(fld, _digit_reference(fld, monkeypatch), pairs, exponents)
+
+
+def test_table_bound_picks_the_arithmetic():
+    for p, k in [(3, 8), (3, 9), (13, 2), (11, 4)]:
+        fld = extension_field(p, k)
+        assert fld.tabled == (fld.order <= MAX_TABLE_ORDER)
+
+
+def test_field_axioms_above_the_table_bound():
+    # F_3^9 computes on digits: the only arithmetic such a field has
+    fld = extension_field(3, 9)
+    assert not fld.tabled
+    rng = random.Random(39)
+    for _ in range(40):
+        a, b, c = (rng.randrange(fld.order) for _ in range(3))
+        assert fld.mul(a, fld.mul(b, c)) == fld.mul(fld.mul(a, b), c)
+        assert fld.mul(a, fld.add(b, c)) == fld.add(fld.mul(a, b), fld.mul(a, c))
+        assert fld.add(fld.sub(a, b), b) == a
+        assert fld.add(a, fld.neg(a)) == fld.zero
+        if a:
+            assert fld.mul(a, fld.inv(a)) == fld.one
+            assert fld.pow(a, fld.order - 1) == fld.one
+            assert fld.pow(a, -2) == fld.inv(fld.mul(a, a))
+        assert fld.pow(fld.pth_root(a), 3) == a
+        assert fld.decode(fld.encode(a)) == a
+
+
+def test_codes_and_labels():
+    # an element is its code: F_p inside as 0..p-1, labels from the digits
+    f25 = extension_field(5, 2)
+    assert (f25.zero, f25.one, f25.from_int(-1)) == (0, 1, 4)
+    assert [f25.fmt(c) for c in (0, 3, 5, 7, 24)] == ["0", "3", "g", "g+2", "4g+4"]
+    assert f25.mul(5, 5) == f25.from_int(-2)  # g^2 = -2 under z^2 + 2
+    assert sorted([7, 0, 24, 5], key=f25.sort_key) == [0, 5, 7, 24]
 
 
 def test_extension_field_tower_sizes():

@@ -628,6 +628,20 @@ def test_extension_embedding_is_homomorphism():
     assert embed(small.one) == big.one
 
 
+def test_extension_embedding_above_the_table_bound():
+    # F_97^2 has no tables, so its embedding evaluates each code in turn
+    small, big = extension_field(97, 2), extension_field(97, 4)
+    assert not small.tabled
+    embed = extension_embedding(small, big)
+    assert extension_embedding(small, big) is embed  # built once per pair
+    rng = random.Random(97)
+    for _ in range(30):
+        a, b = rng.randrange(small.order), rng.randrange(small.order)
+        assert embed(small.add(a, b)) == big.add(embed(a), embed(b))
+        assert embed(small.mul(a, b)) == big.mul(embed(a), embed(b))
+    assert [embed(c) for c in range(97)] == list(range(97))  # F_p is fixed
+
+
 def test_translate_matches_eval():
     f5 = prime_field(5)
     f = parse_polynomial("x^2*t + 3*t^4 + x", f5)

@@ -7,9 +7,17 @@ import pytest
 
 import covergeo.polynomials
 import covergeo.resolution
-from covergeo.fields import QQ, prime_field
+from covergeo.fields import QQ, extension_field, prime_field
 from covergeo.parsing import parse_field_spec, parse_polynomial
-from covergeo.polynomials import BPoly, b_exact_div, b_normalize, b_squarefree
+from covergeo.polynomials import (
+    BPoly,
+    UPoly,
+    b_exact_div,
+    b_normalize,
+    b_squarefree,
+    extension_embedding,
+    u_roots,
+)
 from covergeo.resolution import (
     NEGLIGIBLE_FIRST,
     NEGLIGIBLE_SECOND,
@@ -283,8 +291,6 @@ def test_resolution_degree_four_extension():
 
 
 def test_resolution_extension_of_extension():
-    from covergeo.fields import extension_field
-
     f25 = extension_field(5, 2)
     gen = BPoly.constant(f25, f25.decode(5))  # non-square in F_25
     x, t = BPoly.var_x(f25), BPoly.var_t(f25)
@@ -544,6 +550,46 @@ def test_metamorphic_invariants(spec):
         assert _invariants(poly * unit) == expected, poly.fmt()
         shear = x + BPoly.constant(fld, fld.from_int(2)) * t
         assert _invariants(_substitute(poly, shear, t))[0] == expected[0], poly.fmt()
+
+
+def _conjugate_pair(fp, big, m, n, c):
+    """((x - s t)^m - t^n)((x + s t)^m - t^n) over F_p, with s^2 = c in
+    F_{p^2}; its coefficients are codes below p, so they are F_p's."""
+    s = u_roots(UPoly(big, [big.neg(c), big.zero, big.one]))[0]
+    x, tn = BPoly.var_x(big), BPoly(big, {(0, n): big.one})
+    st = BPoly(big, {(0, 1): s})
+    minus = plus = BPoly.constant(big, big.one)
+    for _ in range(m):
+        minus, plus = minus * (x - st), plus * (x + st)
+    poly = (minus - tn) * (plus - tn)
+    assert all(code < fp.p for code in poly.terms.values())
+    return BPoly(fp, poly.terms)
+
+
+@pytest.mark.parametrize("p", [5, 7, 11])
+def test_base_change_to_fp2_keeps_invariants(p):
+    # Points conjugate over F_p are rational over F_{p^2}: once the copies
+    # of a conjugate site are counted, xi, the K^2 drop and the negligible
+    # class do not depend on the field the germ is resolved over.
+    fp, big = prime_field(p), extension_field(p, 2)
+    embed = extension_embedding(fp, big)
+    rng = random.Random(f"base-change-{p}")
+    squares = {i * i % p for i in range(1, p)}
+    non_squares = [c for c in range(2, p) if c not in squares]
+    germs = [_conjugate_pair(fp, big, m, n, rng.choice(non_squares))
+             for m, n in [(2, 5), (3, 5), (2, 7)]]
+    while len(germs) < 7:
+        b1 = _random_reduced_germ(rng, fp)
+        if b1 is not None:
+            germs.append(b1.poly)
+    for i, poly in enumerate(germs):
+        over_p = canonical_resolution(BranchGerm(poly))
+        over_p2 = canonical_resolution(BranchGerm(poly.map_to(big, embed)))
+        assert ((over_p.xi, over_p.k2_defect, over_p.negligible)
+                == (over_p2.xi, over_p2.k2_defect, over_p2.negligible)), poly.fmt()
+        if i < 3:  # a conjugate pair meets conjugate points over F_p only
+            assert any(s.copies == 2 for s in over_p.steps), poly.fmt()
+            assert all(s.copies == 1 for s in over_p2.steps), poly.fmt()
 
 
 # -- invariants and properties ------------------------------------------------
