@@ -9,7 +9,6 @@ from .resolution import (
     blowup_once,
     canonical_resolution,
     is_negligible,
-    multiplicity_at_origin,
     normalize_branch,
 )
 from .xi import (
@@ -36,7 +35,6 @@ __all__ = [
     "canonical_resolution",
     "extension_field",
     "is_negligible",
-    "multiplicity_at_origin",
     "normalize_branch",
     "prime_field",
     "u_factor",

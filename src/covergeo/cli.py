@@ -2,9 +2,10 @@
 
 Subcommands: resolve, xi, fibration, raynaud, char3, kappa, genus, verify.
 Exit codes: 0 all checks passed, 1 a check failed or a computation could not
-finish, 2 usage or parse errors.  Output is exact; --format picks the
-table or the tab-separated records rendering, --no-timestamp makes reruns
-byte-identical.
+finish, 2 usage or parse errors.  Each cmd_* returns its Report or raises a
+ValueError on bad input; main alone prints the one error line and picks the
+exit code.  Output is exact; --format picks the table or the tab-separated
+records rendering, --no-timestamp makes reruns byte-identical.
 """
 
 from __future__ import annotations
@@ -16,7 +17,7 @@ from fractions import Fraction
 from . import fibration as fib
 from . import geography as geo
 from . import genus as gen
-from .parsing import ParseError, parse_field_spec, parse_polynomial
+from .parsing import parse_field_spec, parse_polynomial
 from .reports import Report
 from .resolution import (
     DEFAULT_DEPTH_LIMIT,
@@ -30,6 +31,9 @@ from .verify import DEFAULT_SEED, run_suite
 from .xi import RamificationType, SingularityClass, xi_bound_family, xi_family, xi_inequality_slack, xi_type
 
 USAGE_ERROR = 2
+# a computation that could not finish exits 1, like a failed check;
+# IrrationalPointError is a ValueError, so it is told apart from usage errors
+_UNFINISHED = (ResolutionDepthError, IrrationalPointError, ExtensionDegreeError)
 
 
 class _ArgumentParser(argparse.ArgumentParser):
@@ -107,29 +111,18 @@ def build_parser() -> argparse.ArgumentParser:
     return parser
 
 
-def cmd_resolve(args) -> int:
+def cmd_resolve(args) -> Report:
     if args.depth_limit < 0:
-        print(f"covergeo resolve: --depth-limit must be >= 0, got {args.depth_limit}",
-              file=sys.stderr)
-        return USAGE_ERROR
-    try:
-        field = parse_field_spec(args.field)
-        poly = parse_polynomial(args.germ, field)
-    except (ParseError, ValueError) as exc:
-        print(f"covergeo resolve: {exc}", file=sys.stderr)
-        return USAGE_ERROR
+        raise ValueError(f"--depth-limit must be >= 0, got {args.depth_limit}")
+    field = parse_field_spec(args.field)
+    poly = parse_polynomial(args.germ, field)
     report = Report(
         f"resolve {args.germ!r} --field {args.field}",
         f"resolve|{poly.fmt()}|{field.name}|{args.depth_limit}",
-        timestamp=not args.no_timestamp,
     )
-    try:
-        trace = canonical_resolution(
-            BranchGerm(poly), depth_limit=args.depth_limit
-        )
-    except (ResolutionDepthError, IrrationalPointError, ExtensionDegreeError) as exc:
-        print(f"covergeo resolve: {exc}", file=sys.stderr)
-        return 1
+    trace = canonical_resolution(
+        BranchGerm(poly), depth_limit=args.depth_limit
+    )
     report.add("germ", "input", trace.input_equation)
     report.add("germ", "field", trace.field_name)
     report.add("germ", "reduced-part", trace.reduced_equation)
@@ -146,8 +139,7 @@ def cmd_resolve(args) -> int:
     report.check("trace-consistency",
                  recomputed == (trace.xi, trace.k2_defect),
                  f"xi={trace.xi} K2-drop={trace.k2_defect}")
-    print(report.render(args.format), end="")
-    return report.exit_code
+    return report
 
 
 def _parse_kv(token: str, key: str) -> int:
@@ -159,69 +151,52 @@ def _parse_kv(token: str, key: str) -> int:
     return int(token)
 
 
-def cmd_xi(args) -> int:
+def cmd_xi(args) -> Report:
     modes = sum(1 for flag in (args.family, args.cls) if flag)
     if modes != 1:
-        print("covergeo xi: pick exactly one of --family or --type",
-              file=sys.stderr)
-        return USAGE_ERROR
-    try:
-        if args.family:
-            a, b, m, n = args.family
-            report = Report(
-                f"xi --family {a} {b} {m} {n}",
-                f"xi-family|{a}|{b}|{m}|{n}",
-                timestamp=not args.no_timestamp,
-            )
-            value = xi_family(a, b, m, n)
-            report.add("xi", "family", f"x^{a}*t^{b}*(x^{m}-t^{n})", value)
-            if m % 2:
-                bound = xi_bound_family(a, b, m, n)
-                report.add("xi", "upper-bound", bound)
-                report.check("xi-within-bound", value <= bound,
-                             f"{value} <= {bound}")
-        else:
-            if args.p is None:
-                print("covergeo xi: --type needs --p", file=sys.stderr)
-                return USAGE_ERROR
-            if (args.tame is None) == (args.wild is None):
-                print("covergeo xi: --type needs exactly one of --tame/--wild",
-                      file=sys.stderr)
-                return USAGE_ERROR
-            cls = SingularityClass(args.cls)
-            if args.tame is not None:
-                lam = RamificationType.tame(_parse_kv(args.tame, "R"))
-            else:
-                lam = RamificationType.wild(
-                    _parse_kv(args.wild[0], "j"), _parse_kv(args.wild[1], "R")
-                )
-            report = Report(
-                f"xi --type {cls.value} ({lam.fmt()}) p={args.p}",
-                f"xi-type|{cls.value}|{lam.fmt()}|{args.p}",
-                timestamp=not args.no_timestamp,
-            )
-            value = xi_type(cls, lam, args.p)
-            slack = xi_inequality_slack(cls, lam, args.p)
-            report.add("xi", "type", cls.value, lam.fmt(), value)
-            report.add("xi", "slack", slack)
-            report.check("slack-non-negative", slack >= 0, slack)
-    except ValueError as exc:
-        print(f"covergeo xi: {exc}", file=sys.stderr)
-        return USAGE_ERROR
-    print(report.render(args.format), end="")
-    return report.exit_code
+        raise ValueError("pick exactly one of --family or --type")
+    if args.family:
+        a, b, m, n = args.family
+        report = Report(
+            f"xi --family {a} {b} {m} {n}",
+            f"xi-family|{a}|{b}|{m}|{n}",
+        )
+        value = xi_family(a, b, m, n)
+        report.add("xi", "family", f"x^{a}*t^{b}*(x^{m}-t^{n})", value)
+        if m % 2:
+            bound = xi_bound_family(a, b, m, n)
+            report.add("xi", "upper-bound", bound)
+            report.check("xi-within-bound", value <= bound,
+                         f"{value} <= {bound}")
+        return report
+    if args.p is None:
+        raise ValueError("--type needs --p")
+    if (args.tame is None) == (args.wild is None):
+        raise ValueError("--type needs exactly one of --tame/--wild")
+    cls = SingularityClass(args.cls)
+    if args.tame is not None:
+        lam = RamificationType.tame(_parse_kv(args.tame, "R"))
+    else:
+        lam = RamificationType.wild(
+            _parse_kv(args.wild[0], "j"), _parse_kv(args.wild[1], "R")
+        )
+    report = Report(
+        f"xi --type {cls.value} ({lam.fmt()}) p={args.p}",
+        f"xi-type|{cls.value}|{lam.fmt()}|{args.p}",
+    )
+    value = xi_type(cls, lam, args.p)
+    slack = xi_inequality_slack(cls, lam, args.p)
+    report.add("xi", "type", cls.value, lam.fmt(), value)
+    report.add("xi", "slack", slack)
+    report.check("slack-non-negative", slack >= 0, slack)
+    return report
 
 
-def cmd_fibration(args) -> int:
-    try:
-        datum = fib.load_datum(args.datum)
-    except (OSError, fib.InvalidDatumError, ValueError) as exc:
-        print(f"covergeo fibration: {exc}", file=sys.stderr)
-        return USAGE_ERROR
+def cmd_fibration(args) -> Report:
+    datum = fib.load_datum(args.datum)
     report = Report(
         f"fibration {args.datum}",
         fib.datum_to_json(datum),
-        timestamp=not args.no_timestamp,
     )
     report.add("datum", "p", datum.p)
     report.add("datum", "q", datum.q)
@@ -234,27 +209,20 @@ def cmd_fibration(args) -> int:
         report.add("invariant", "alpha", alpha)
         report.add("invariant", "d", d)
         report.add("invariant", "chi-cover", fib.chi_normalized_cover(datum))
-        chi = fib.chi_smooth_model(datum)
-        report.add("invariant", "chi-smooth", chi)
         result = fib.evidence_bound_check(datum)
+        report.add("invariant", "chi-smooth", result.chi)
         report.add("invariant", "chi-bound", result.bound)
         report.check("chi-lower-bound", result.passed,
                      f"{result.chi} >= {result.bound}")
-    print(report.render(args.format), end="")
-    return report.exit_code
+    return report
 
 
-def cmd_raynaud(args) -> int:
+def cmd_raynaud(args) -> Report:
     report = Report(
         f"raynaud --p {args.p} --l {args.l}",
         f"raynaud|{args.p}|{args.l}",
-        timestamp=not args.no_timestamp,
     )
-    try:
-        inv = geo.raynaud_invariants(args.p, args.l)
-    except ValueError as exc:
-        print(f"covergeo raynaud: {exc}", file=sys.stderr)
-        return USAGE_ERROR
+    inv = geo.raynaud_invariants(args.p, args.l)
     report.add("invariant", "chi", inv.chi)
     report.add("invariant", "K2", inv.K2)
     report.add("invariant", "c2", inv.c2)
@@ -268,45 +236,32 @@ def cmd_raynaud(args) -> int:
     report.check("ratio-is-conjectural",
                  Fraction(inv.chi, inv.K2) == geo.kappa_conjectural(args.p),
                  geo.kappa_conjectural(args.p))
-    print(report.render(args.format), end="")
-    return report.exit_code
+    return report
 
 
-def cmd_char3(args) -> int:
+def cmd_char3(args) -> Report:
     report = Report(
         f"char3 --n {args.n}",
         f"char3|{args.n}",
-        timestamp=not args.no_timestamp,
     )
-    try:
-        ex = geo.char3_example(args.n)
-    except ValueError as exc:
-        print(f"covergeo char3: {exc}", file=sys.stderr)
-        return USAGE_ERROR
+    ex = geo.char3_example(args.n)
     report.add("invariant", "q-1", ex.q - 1)
     report.add("invariant", "m", ex.m)
     report.add("invariant", "c2-upper-bound", ex.c2_upper)
     report.add("invariant", "bound/(q-1)", ex.ratio)
     report.check("c2-floor", ex.c2_upper >= -4 * (ex.q - 1),
                  f"{ex.c2_upper} >= {-4 * (ex.q - 1)}")
-    print(report.render(args.format), end="")
-    return report.exit_code
+    return report
 
 
-def cmd_kappa(args) -> int:
+def cmd_kappa(args) -> Report:
     report = Report(
         f"kappa --min {args.min} --max {args.max}",
         f"kappa|{args.min}|{args.max}",
-        timestamp=not args.no_timestamp,
     )
-    try:
-        rows = geo.kappa_table(args.min, args.max)
-    except ValueError as exc:
-        print(f"covergeo kappa: {exc}", file=sys.stderr)
-        return USAGE_ERROR
+    rows = geo.kappa_table(args.min, args.max)
     report.add("columns", "p", "conjectural", "proven-lower", "note",
                "gap-to-1/12")
-    # kappa_limit_gap without its primality test, which the sieve has done
     gaps = [Fraction(1, 12) - row.conjectural if row.p >= 5 else None for row in rows]
     for row, gap in zip(rows, gaps):
         report.add("kappa", row.p, row.conjectural, row.proven_lower,
@@ -323,63 +278,50 @@ def cmd_kappa(args) -> int:
         if row.p >= 11
     )
     report.check("gap-below-1/p(p>=11)", shrinking)
-    print(report.render(args.format), end="")
-    return report.exit_code
+    return report
 
 
-def cmd_genus(args) -> int:
+def cmd_genus(args) -> Report:
     report = Report(
         f"genus --p {args.p}",
         f"genus|{args.p}|{args.upper}|{args.lower}|{args.g}|{args.tower}",
-        timestamp=not args.no_timestamp,
     )
-    try:
-        gen.require_odd_prime(args.p)  # before any row
-        if args.upper is not None:
-            rec = gen.GenusChangeRecord(args.p, args.upper, args.lower)
-            divisible = gen.tate_divisibility(rec)
-            report.add("genus-change", "drop", rec.drop)
-            report.check("tate-divisibility", divisible,
-                         f"{args.p - 1} | {2 * rec.drop}")
-            if divisible:
-                report.add("genus-change", "torsion-degree",
-                           gen.torsion_degree(rec))
-        if args.g is not None:
-            member = gen.quasi_hyperelliptic_genus_ok(args.g, args.p)
-            report.add("rational-curve", "quasi-hyperelliptic-genus",
-                       "unknown-at-bound" if member is None else member)
-            try:
-                report.add("rational-curve", "torsion-degree",
-                           gen.rational_curve_torsion(args.g, args.p))
-            except ValueError as exc:
-                report.add("rational-curve", "torsion-degree", f"n/a ({exc})")
-        if args.tower:
-            genera = [int(v) for v in args.tower.split(",")]
-            report.check("tower-drops-shrink",
-                         gen.tower_monotonicity(genera, args.p),
-                         args.tower)
-    except ValueError as exc:
-        print(f"covergeo genus: {exc}", file=sys.stderr)
-        return USAGE_ERROR
-    print(report.render(args.format), end="")
-    return report.exit_code
+    gen.require_odd_prime(args.p)  # before any row
+    if args.upper is not None:
+        rec = gen.GenusChangeRecord(args.p, args.upper, args.lower)
+        divisible = gen.tate_divisibility(rec)
+        report.add("genus-change", "drop", rec.drop)
+        report.check("tate-divisibility", divisible,
+                     f"{args.p - 1} | {2 * rec.drop}")
+        if divisible:
+            report.add("genus-change", "torsion-degree",
+                       gen.torsion_degree(rec))
+    if args.g is not None:
+        member = gen.quasi_hyperelliptic_genus_ok(args.g, args.p)
+        report.add("rational-curve", "quasi-hyperelliptic-genus",
+                   "unknown-at-bound" if member is None else member)
+        try:
+            report.add("rational-curve", "torsion-degree",
+                       gen.rational_curve_torsion(args.g, args.p))
+        except ValueError as exc:
+            report.add("rational-curve", "torsion-degree", f"n/a ({exc})")
+    if args.tower:
+        genera = [int(v) for v in args.tower.split(",")]
+        report.check("tower-drops-shrink",
+                     gen.tower_monotonicity(genera, args.p),
+                     args.tower)
+    return report
 
 
-def cmd_verify(args) -> int:
+def cmd_verify(args) -> Report:
     report = Report(
         f"verify {args.suite}",
         f"verify|{args.suite}|{args.seed}",
-        timestamp=not args.no_timestamp,
     )
-    try:
-        checks = run_suite(args.suite, seed=args.seed)
-    except ValueError as exc:
-        print(f"covergeo verify: {exc}", file=sys.stderr)
-        return USAGE_ERROR
+    checks = run_suite(args.suite, seed=args.seed)
     for name, ok, detail in checks:
         report.check(name, ok, detail)
-    print(report.render(args.format), end="")
-    return report.exit_code
+    return report
 
 
 _DISPATCH = {
@@ -396,13 +338,17 @@ _DISPATCH = {
 
 def main(argv=None) -> int:
     args, unknown = build_parser().parse_known_args(argv)
-    if unknown:
-        # argparse would report these from the top-level parser, without
-        # the command
-        print(f"covergeo {args.command}: unrecognized arguments: {' '.join(unknown)}",
-              file=sys.stderr)
-        return USAGE_ERROR
-    return _DISPATCH[args.command](args)
+    try:
+        if unknown:
+            # argparse would report these from the top-level parser, without
+            # the command
+            raise ValueError(f"unrecognized arguments: {' '.join(unknown)}")
+        report = _DISPATCH[args.command](args)
+    except (*_UNFINISHED, ValueError, OSError) as exc:
+        print(f"covergeo {args.command}: {exc}", file=sys.stderr)
+        return 1 if isinstance(exc, _UNFINISHED) else USAGE_ERROR
+    print(report.render(args.format, timestamp=not args.no_timestamp), end="")
+    return report.exit_code
 
 
 if __name__ == "__main__":

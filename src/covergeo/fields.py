@@ -38,6 +38,12 @@ MAX_CHARACTERISTIC = 2**31 - 1
 # 14,641 the digit arithmetic is already faster for one resolution.
 MAX_TABLE_ORDER = 2**13
 
+# largest k of a field F_{p^k}, enforced by extension_field.  It admits every
+# germ of the tests, goldens, verify suites and benchmark: the goldens reach
+# F5^4, the tests F5^6.  F5^16 takes seconds to build and use, F5^22 far
+# longer.
+MAX_EXTENSION_DEGREE = 12
+
 
 def is_prime(n: int) -> bool:
     """Trial division; every characteristic is tested here, so a number past
@@ -83,7 +89,14 @@ def minimal_irreducible(p: int, k: int) -> tuple[int, ...]:
     if k == 1:
         return (0, 1)
     fp = prime_field(p)
-    for code in range(p**k):
+    # x^k + c is irreducible over F_p only if every prime r | k divides p - 1,
+    # and p = 1 mod 4 when 4 | k (Lidl and Niederreiter, Finite Fields,
+    # Thm 3.75); when it cannot be, the scan skips the codes 1..p-1 of the
+    # binomials, which for large p are most of the work
+    no_binomial = (k % 4 == 0 and p % 4 == 3) or any(
+        k % r == 0 and (p - 1) % r for r in range(2, k + 1) if is_prime(r)
+    )
+    for code in range(p if no_binomial else 0, p**k):
         digits, v = [], code
         for _ in range(k):
             digits.append(v % p)
@@ -435,8 +448,13 @@ def prime_field(p: int) -> PrimeField:
 @functools.lru_cache(maxsize=None)
 def extension_field(p: int, k: int):
     """F_{p^k} with the deterministic minimal defining polynomial (F_p itself
-    when k == 1)."""
+    when k == 1); k past MAX_EXTENSION_DEGREE raises ValueError before any
+    search for the polynomial."""
     if k == 1:
         return prime_field(p)
     prime_field(p)  # validates p
+    if k > MAX_EXTENSION_DEGREE:
+        raise ValueError(
+            f"extension degree {k} exceeds the bound {MAX_EXTENSION_DEGREE}"
+        )
     return ExtensionField(p, k, minimal_irreducible(p, k))

@@ -83,30 +83,6 @@ class KappaReport:
         return "strict lower bound"
 
 
-def kappa_report(p: int) -> KappaReport:
-    # each raises unless p is an odd prime
-    if p >= 5:
-        kappa_conjectural(p)
-    else:
-        kappa_proven_lower(p)
-    return _report(p)
-
-
-def _report(p: int) -> KappaReport:
-    # p is an odd prime
-    return KappaReport(
-        p=p,
-        conjectural=_conjectural(p) if p >= 5 else None,
-        proven_lower=_proven_lower(p),
-        proven_is_exact=(p == 5),
-    )
-
-
-def kappa_limit_gap(p: int) -> Fraction:
-    """1/12 - kappa_conjectural(p), exactly p / (3 (3p^2 - 8p - 3))."""
-    return Fraction(1, 12) - kappa_conjectural(p)
-
-
 def raynaud_invariants(p: int, l: int) -> SurfaceInvariants:
     """Invariants of the ruled-surface double-cover family:
     chi = (p^2-4p-1) l / 8, K^2 = (3p^2-8p-3) l / 2, c2 = -2pl = -4(q-1)
@@ -207,4 +183,12 @@ def kappa_table(p_min: int, p_max: int) -> list[KappaReport]:
     if p_max > MAX_KAPPA_P:
         raise ValueError(f"primes up to {p_max} exceed the bound {MAX_KAPPA_P}")
     # the sieve's primes need no second test
-    return [_report(p) for p in primes_between(max(p_min, 3), p_max)]
+    return [
+        KappaReport(
+            p=p,
+            conjectural=_conjectural(p) if p >= 5 else None,
+            proven_lower=_proven_lower(p),
+            proven_is_exact=(p == 5),
+        )
+        for p in primes_between(max(p_min, 3), p_max)
+    ]

@@ -2,8 +2,8 @@
 
 A report carries the echoed command, a digest of its canonical input, data
 records and pass/fail checks.  Rendering is exact: Fractions print as
-"num/den", never floating point.  With timestamps suppressed the same input
-always renders to identical bytes.
+"num/den", never floating point.  The timestamp is chosen at render time;
+without it the same input always renders to identical bytes.
 
 Two renderings exist: "records" is line oriented and tab separated (one
 record per line, first column the record kind), "table" is the reader
@@ -30,14 +30,9 @@ def fmt_value(v) -> str:
 
 
 class Report:
-    def __init__(self, command: str, input_key: str, timestamp: bool = True):
+    def __init__(self, command: str, input_key: str):
         self.command = command
         self.digest = hashlib.sha256(input_key.encode("utf-8")).hexdigest()[:16]
-        self.timestamp = (
-            datetime.now(timezone.utc).strftime("%Y-%m-%dT%H:%M:%SZ")
-            if timestamp
-            else None
-        )
         self.rows: list[tuple[str, ...]] = []
         self.checks: list[tuple[str, bool, str]] = []
 
@@ -55,21 +50,24 @@ class Report:
     def exit_code(self) -> int:
         return 0 if self.all_passed else 1
 
-    def render(self, fmt: str = "table") -> str:
+    def render(self, fmt: str, timestamp: bool) -> str:
+        """The report as text; with timestamp, a line stamps the render time."""
+        stamp = (
+            datetime.now(timezone.utc).strftime("%Y-%m-%dT%H:%M:%SZ")
+            if timestamp
+            else None
+        )
         if fmt == "records":
-            return self._render_records()
+            return self._render_records(stamp)
         if fmt == "table":
-            return self._render_table()
+            return self._render_table(stamp)
         raise ValueError(f"unknown report format {fmt!r}")
 
-    def _meta(self) -> list[tuple[str, ...]]:
+    def _render_records(self, stamp: str | None) -> str:
         meta = [("meta", "command", self.command), ("meta", "input", self.digest)]
-        if self.timestamp:
-            meta.append(("meta", "timestamp", self.timestamp))
-        return meta
-
-    def _render_records(self) -> str:
-        lines = ["\t".join(row) for row in self._meta()]
+        if stamp:
+            meta.append(("meta", "timestamp", stamp))
+        lines = ["\t".join(row) for row in meta]
         lines += ["\t".join(row) for row in self.rows]
         for name, ok, value in self.checks:
             lines.append("\t".join(("check", name, "PASS" if ok else "FAIL", value)))
@@ -82,10 +80,10 @@ class Report:
             )
         return "\n".join(lines) + "\n"
 
-    def _render_table(self) -> str:
+    def _render_table(self, stamp: str | None) -> str:
         lines = [f"# {self.command}", f"# input {self.digest}"]
-        if self.timestamp:
-            lines.append(f"# time {self.timestamp}")
+        if stamp:
+            lines.append(f"# time {stamp}")
         if self.rows:
             widths: dict[int, int] = {}
             for row in self.rows:

@@ -25,6 +25,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 
+from .fields import MAX_EXTENSION_DEGREE
 from .polynomials import (
     BPoly,
     UPoly,
@@ -38,11 +39,6 @@ from .polynomials import (
 )
 
 DEFAULT_DEPTH_LIMIT = 256
-# largest k of a field F_{p^k} built for conjugate points that may be
-# singular; regular ones need no field.  It admits every germ of the tests,
-# goldens, verify suites and benchmark: the goldens reach F5^4, the tests
-# F5^6.  F5^16 takes seconds to build and use, F5^22 far longer.
-MAX_EXTENSION_DEGREE = 12
 
 NEGLIGIBLE_FIRST = "first_kind"
 NEGLIGIBLE_SECOND = "second_kind"
@@ -78,13 +74,6 @@ class BranchGerm:
 
     def fmt(self) -> str:
         return self.poly.fmt()
-
-
-def multiplicity_at_origin(germ: BranchGerm | BPoly) -> int:
-    poly = germ.poly if isinstance(germ, BranchGerm) else germ
-    if poly.is_zero():
-        raise ValueError("zero equation has no multiplicity")
-    return poly.total_valuation()
 
 
 def normalize_branch(germ: BranchGerm) -> tuple[BranchGerm, BranchGerm]:

@@ -6,6 +6,7 @@ from pathlib import Path
 
 import pytest
 
+import covergeo.fibration
 from covergeo.cli import main
 from covergeo.fields import MAX_CHARACTERISTIC
 from covergeo.geography import MAX_CHAR3_N, MAX_KAPPA_P
@@ -122,6 +123,18 @@ def test_resolve_extension_degree_bound_exit_1():
         f"degree bound {MAX_EXTENSION_DEGREE} (blow-up centre: origin)"]
 
 
+def test_resolve_large_characteristic_conjugate_points():
+    # the points' field F10007^4 took 9 s to build: its binomials x^4 + c are
+    # all reducible, as 10007 = 3 mod 4, and each was factored first
+    code, out, err = run_cli_within(
+        3, ["resolve", "x*(t^4+t^3*x+t*x^3+2*x^4)", "--field", "F10007",
+            "--no-timestamp", "--format", "records"],
+        "conjugate points over F10007")
+    assert code == 0 and err == ""
+    assert "\t4\torigin -> chart x @ 232g^3+1427g^2+7299g+7679 in F10028029413722401\n" in out
+    assert "total\txi\t1\n" in out
+
+
 def test_resolve_regular_conjugate_points_need_no_field():
     # the 16 tangents of x^16 = 2 t^16 are conjugate over F5 but each is a
     # transversal crossing, so no field F5^16 is built for them
@@ -182,9 +195,28 @@ def test_usage_error_exit_2():
     (["frobnicate"], "covergeo: argument command: invalid choice: 'frobnicate' "
      "(choose from 'resolve', 'xi', 'fibration', 'raynaud', 'char3', 'kappa', "
      "'genus', 'verify')"),
+    # one input error per command, each raised into the same path of main
+    (["resolve", "x", "--field", "F3^200"],
+     f"covergeo resolve: extension degree 200 exceeds the bound {MAX_EXTENSION_DEGREE}"),
+    (["xi"], "covergeo xi: pick exactly one of --family or --type"),
+    (["fibration", "/nonexistent/datum.json"],
+     "covergeo fibration: [Errno 2] No such file or directory: "
+     "'/nonexistent/datum.json'"),
+    (["raynaud", "--p", "5", "--l", "3"],
+     "covergeo raynaud: l = 3 is inadmissible: l must be positive and even for "
+     "chi = (p^2-4p-1)l/8 and q = pl/2 + 1 to be integers"),
+    (["char3", "--n", "1"], "covergeo char3: the family is of general type only for n >= 2"),
+    (["kappa", "--max", "300000"],
+     f"covergeo kappa: primes up to 300000 exceed the bound {MAX_KAPPA_P}"),
+    (["genus", "--p", "5", "--tower", "1,,2"],
+     "covergeo genus: invalid literal for int() with base 10: ''"),
+    (["verify", "nosuch"],
+     "covergeo verify: unknown suite 'nosuch'; pick from oracle, app1, evidence, "
+     "raynaud, xi-ineq, kappa, genus or all"),
 ])
 def test_usage_errors_one_line(argv, message):
-    code, out, err = run_cli(argv)
+    # within 2 s: F3^200 used to search for its modulus for minutes
+    code, out, err = run_cli_within(2, argv, " ".join(argv))
     assert code == 2 and out == ""
     assert err.splitlines() == [message]
 
@@ -283,6 +315,27 @@ def test_fibration_command(tmp_path):
     assert code == 0
     assert "invariant\tchi-smooth\t3" in out
     assert "check\tchi-lower-bound\tPASS\t3 >= 1/5" in out
+
+
+def test_fibration_computes_chi_once(tmp_path, monkeypatch):
+    # chi-smooth is the chi of the bound check: one validation each for the
+    # report, chi-cover and the bound, and one xi per point
+    datum = next(covergeo.fibration.iter_random_data(3, 1))
+    path = tmp_path / "datum.json"
+    covergeo.fibration.save_datum(datum, path)
+    calls = {"validate": 0, "xi_type": 0}
+    for name in calls:
+        fn = getattr(covergeo.fibration, name)
+
+        def counted(*args, _fn=fn, _name=name):
+            calls[_name] += 1
+            return _fn(*args)
+
+        monkeypatch.setattr(covergeo.fibration, name, counted)
+    code, out, _ = run_cli(["fibration", str(path), "--no-timestamp",
+                            "--format", "records"])
+    assert code == 0 and "invariant\tchi-smooth\t" in out
+    assert calls == {"validate": 3, "xi_type": len(datum.points)}
 
 
 def test_fibration_inconsistent_datum_fails(tmp_path):

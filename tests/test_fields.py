@@ -1,9 +1,11 @@
 import random
+import time
 
 import pytest
 
 from covergeo import fields
 from covergeo.fields import (
+    MAX_EXTENSION_DEGREE,
     MAX_TABLE_ORDER,
     ExtensionField,
     extension_field,
@@ -12,6 +14,7 @@ from covergeo.fields import (
     prime_field,
     primes_between,
 )
+from covergeo.univariate import UPoly, u_factor
 
 
 def test_prime_field_validation():
@@ -41,6 +44,8 @@ PINNED_MODULI = {
     (7, 3): (2, 0, 0, 1),
     (11, 2): (1, 0, 1),
     (13, 2): (2, 0, 1),
+    # 4 | k and p = 3 mod 4: no binomial x^4 + c is irreducible
+    (10007, 4): (6, 1, 0, 0, 1),
 }
 
 
@@ -48,6 +53,44 @@ PINNED_MODULI = {
 def test_minimal_irreducible_pinned(p, k):
     assert minimal_irreducible(p, k) == PINNED_MODULI[(p, k)]
     assert extension_field(p, k).modulus == PINNED_MODULI[(p, k)]
+
+
+def _scan_minimal_irreducible(p, k):
+    """The search over every code in order, without skipping binomials."""
+    fp = prime_field(p)
+    for code in range(p**k):
+        digits = [code // p**i % p for i in range(k)]
+        if digits[0]:
+            f = UPoly(fp, digits + [1])
+            if u_factor(f)[1] == [(f, 1)]:
+                return f.coeffs
+
+
+def test_minimal_irreducible_matches_full_scan():
+    # the pairs take both branches: the binomial block is skipped when a
+    # prime r | k does not divide p - 1, or 4 | k and p = 3 mod 4
+    for p in primes_between(3, 59):
+        for k in (2, 3, 4, 5, 6):
+            assert minimal_irreducible(p, k) == _scan_minimal_irreducible(p, k), (p, k)
+
+
+def test_large_characteristic_extension_is_fast():
+    # the binomials x^k + c, c = 1..p-1, were each factored before the first
+    # candidate that can be irreducible: 8.2 s for F10007^4, and the scan for
+    # F(2^31 - 1)^12 would factor 2^31 - 2 of them; both now take under 0.5 s
+    for p, k, modulus in [(10007, 4, PINNED_MODULI[(10007, 4)]),
+                          (fields.MAX_CHARACTERISTIC, MAX_EXTENSION_DEGREE,
+                           (15, 1) + (0,) * 10 + (1,))]:
+        start = time.perf_counter()
+        assert minimal_irreducible(p, k) == modulus
+        assert time.perf_counter() - start < 2, (p, k)
+
+
+def test_extension_degree_bound():
+    assert extension_field(3, MAX_EXTENSION_DEGREE).k == MAX_EXTENSION_DEGREE
+    with pytest.raises(ValueError, match=f"^extension degree 200 exceeds the bound "
+                       f"{MAX_EXTENSION_DEGREE}$"):
+        extension_field(3, 200)
 
 
 @pytest.mark.parametrize("p,k", [(3, 2), (5, 2), (3, 3), (11, 2)])

@@ -8,9 +8,8 @@ from covergeo.geography import (
     c2_floor_check,
     char3_example,
     kappa_conjectural,
-    kappa_limit_gap,
     kappa_proven_lower,
-    kappa_report,
+    kappa_table,
     noether_check,
     raynaud_invariants,
     sb_lower_bound_check,
@@ -42,7 +41,11 @@ def test_kappa_values():
     assert kappa_proven_lower(7) == 0
     assert kappa_proven_lower(13) == Fraction(1, 20)
     assert kappa_proven_lower(3) is None
-    assert kappa_report(3).note == "positive, no explicit value"
+    rows = kappa_table(3, 7)
+    assert [row.note for row in rows] == [
+        "positive, no explicit value", "exact value", "strict lower bound"]
+    assert [(row.conjectural, row.proven_lower) for row in rows] == [
+        (None, None), (Fraction(1, 32), Fraction(1, 32)), (Fraction(5, 88), 0)]
     with pytest.raises(ValueError):
         kappa_conjectural(3)
     with pytest.raises(ValueError):
@@ -52,9 +55,11 @@ def test_kappa_values():
 def test_kappa_orderings():
     for p in primes_between(7, 199):
         assert kappa_conjectural(p) > kappa_proven_lower(p)
-    gaps = [kappa_limit_gap(p) for p in primes_between(5, 500)]
+    gaps = [Fraction(1, 12) - kappa_conjectural(p) for p in primes_between(5, 500)]
     assert all(g > 0 for g in gaps)
     assert gaps == sorted(gaps, reverse=True)  # increases toward 1/12
+    assert gaps == [Fraction(p, 3 * (3 * p * p - 8 * p - 3))
+                    for p in primes_between(5, 500)]
     for p in primes_between(100, 999):
         assert abs(kappa_conjectural(p) - Fraction(1, 12)) < Fraction(1, p)
 
