@@ -5,7 +5,8 @@ Exit codes: 0 all checks passed, 1 a check failed or a computation could not
 finish, 2 usage or parse errors.  Each cmd_* returns its Report or raises a
 ValueError on bad input; main alone prints the one error line and picks the
 exit code.  Output is exact; --format picks the table or the tab-separated
-records rendering, --no-timestamp makes reruns byte-identical.
+records rendering, --no-timestamp makes reruns byte-identical.  Each cmd_*
+imports the modules it runs, so a command loads only its own layers.
 """
 
 from __future__ import annotations
@@ -14,21 +15,13 @@ import argparse
 import sys
 from fractions import Fraction
 
-from . import fibration as fib
-from . import geography as geo
-from . import genus as gen
-from .parsing import parse_field_spec, parse_polynomial
-from .reports import Report
-from .resolution import (
+from .fields import (
     DEFAULT_DEPTH_LIMIT,
-    BranchGerm,
     ExtensionDegreeError,
     IrrationalPointError,
     ResolutionDepthError,
-    canonical_resolution,
 )
-from .verify import DEFAULT_SEED, run_suite
-from .xi import RamificationType, SingularityClass, xi_bound_family, xi_family, xi_inequality_slack, xi_type
+from .reports import Report
 
 USAGE_ERROR = 2
 # a computation that could not finish exits 1, like a failed check;
@@ -105,13 +98,17 @@ def build_parser() -> argparse.ArgumentParser:
     p_ver.add_argument("suite", nargs="?", default="all",
                        help="oracle, app1, evidence, raynaud, xi-ineq, kappa, "
                             "genus or all")
-    p_ver.add_argument("--seed", type=int, default=DEFAULT_SEED)
+    # default None: verify.DEFAULT_SEED, read when the command runs
+    p_ver.add_argument("--seed", type=int)
     _common_flags(p_ver)
 
     return parser
 
 
 def cmd_resolve(args) -> Report:
+    from .parsing import parse_field_spec, parse_polynomial
+    from .resolution import BranchGerm, canonical_resolution
+
     if args.depth_limit < 0:
         raise ValueError(f"--depth-limit must be >= 0, got {args.depth_limit}")
     field = parse_field_spec(args.field)
@@ -152,6 +149,15 @@ def _parse_kv(token: str, key: str) -> int:
 
 
 def cmd_xi(args) -> Report:
+    from .xi import (
+        RamificationType,
+        SingularityClass,
+        xi_bound_family,
+        xi_family,
+        xi_inequality_slack,
+        xi_type,
+    )
+
     modes = sum(1 for flag in (args.family, args.cls) if flag)
     if modes != 1:
         raise ValueError("pick exactly one of --family or --type")
@@ -193,6 +199,8 @@ def cmd_xi(args) -> Report:
 
 
 def cmd_fibration(args) -> Report:
+    from . import fibration as fib
+
     datum = fib.load_datum(args.datum)
     report = Report(
         f"fibration {args.datum}",
@@ -218,6 +226,8 @@ def cmd_fibration(args) -> Report:
 
 
 def cmd_raynaud(args) -> Report:
+    from . import geography as geo
+
     report = Report(
         f"raynaud --p {args.p} --l {args.l}",
         f"raynaud|{args.p}|{args.l}",
@@ -240,6 +250,8 @@ def cmd_raynaud(args) -> Report:
 
 
 def cmd_char3(args) -> Report:
+    from . import geography as geo
+
     report = Report(
         f"char3 --n {args.n}",
         f"char3|{args.n}",
@@ -255,11 +267,16 @@ def cmd_char3(args) -> Report:
 
 
 def cmd_kappa(args) -> Report:
+    from . import geography as geo
+
     report = Report(
         f"kappa --min {args.min} --max {args.max}",
         f"kappa|{args.min}|{args.max}",
     )
     rows = geo.kappa_table(args.min, args.max)
+    if not rows:  # the checks below would pass on no rows
+        raise ValueError(f"no prime p >= 3 between --min {args.min} and "
+                         f"--max {args.max}")
     report.add("columns", "p", "conjectural", "proven-lower", "note",
                "gap-to-1/12")
     gaps = [Fraction(1, 12) - row.conjectural if row.p >= 5 else None for row in rows]
@@ -282,6 +299,8 @@ def cmd_kappa(args) -> Report:
 
 
 def cmd_genus(args) -> Report:
+    from . import genus as gen
+
     report = Report(
         f"genus --p {args.p}",
         f"genus|{args.p}|{args.upper}|{args.lower}|{args.g}|{args.tower}",
@@ -314,11 +333,14 @@ def cmd_genus(args) -> Report:
 
 
 def cmd_verify(args) -> Report:
+    from .verify import DEFAULT_SEED, run_suite
+
+    seed = DEFAULT_SEED if args.seed is None else args.seed
     report = Report(
         f"verify {args.suite}",
-        f"verify|{args.suite}|{args.seed}",
+        f"verify|{args.suite}|{seed}",
     )
-    checks = run_suite(args.suite, seed=args.seed)
+    checks = run_suite(args.suite, seed=seed)
     for name, ok, detail in checks:
         report.check(name, ok, detail)
     return report

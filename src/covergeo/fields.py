@@ -23,8 +23,6 @@ import math
 import operator
 from fractions import Fraction
 
-from .univariate import UPoly, u_factor
-
 
 # is_prime divides by every odd number up to sqrt(p): about 23,000 trial
 # divisions at this bound, which admits every prime the CLI, the verify
@@ -43,6 +41,25 @@ MAX_TABLE_ORDER = 2**13
 # F5^4, the tests F5^6.  F5^16 takes seconds to build and use, F5^22 far
 # longer.
 MAX_EXTENSION_DEGREE = 12
+
+# The resolution's default blow-up limit and the errors of a resolution
+# that could not finish live here, next to the extension degree bound, so
+# that the CLI reads them without loading the resolution layer;
+# ``resolution`` re-exports them.
+DEFAULT_DEPTH_LIMIT = 256
+
+
+class ResolutionDepthError(RuntimeError):
+    """A resolution needs more blow-ups than its depth limit."""
+
+
+class IrrationalPointError(ValueError):
+    """A singular point on the exceptional line is not rational over Q."""
+
+
+class ExtensionDegreeError(RuntimeError):
+    """A point on the exceptional line needs a field F_{p^k} with k above
+    MAX_EXTENSION_DEGREE."""
 
 
 def is_prime(n: int) -> bool:
@@ -88,6 +105,8 @@ def minimal_irreducible(p: int, k: int) -> tuple[int, ...]:
         raise ValueError("extension degree must be >= 1")
     if k == 1:
         return (0, 1)
+    from .univariate import UPoly, u_factor  # only here: keeps fields light
+
     fp = prime_field(p)
     # x^k + c is irreducible over F_p only if every prime r | k divides p - 1,
     # and p = 1 mod 4 when 4 | k (Lidl and Niederreiter, Finite Fields,

@@ -92,8 +92,11 @@ def quasi_hyperelliptic_genus_ok(g: int, p: int,
 
     Exponents are searched up to exponent_bound; if no solution exists there
     but larger exponents could still reach 2g + 2, the answer is unknown at
-    this bound and None is returned rather than a false negative.
+    this bound and None is returned rather than a false negative.  A
+    negative genus raises ValueError.
     """
+    if g < 0:
+        raise ValueError(f"genus must be >= 0, got g={g}")
     if exponent_bound < 1:
         raise ValueError("exponent bound must be >= 1")
     target = 2 * g + 2

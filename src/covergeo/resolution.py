@@ -25,7 +25,13 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 
-from .fields import MAX_EXTENSION_DEGREE
+from .fields import (
+    DEFAULT_DEPTH_LIMIT,
+    MAX_EXTENSION_DEGREE,
+    ExtensionDegreeError,
+    IrrationalPointError,
+    ResolutionDepthError,
+)
 from .polynomials import (
     BPoly,
     UPoly,
@@ -38,24 +44,9 @@ from .polynomials import (
     ugcd,
 )
 
-DEFAULT_DEPTH_LIMIT = 256
-
 NEGLIGIBLE_FIRST = "first_kind"
 NEGLIGIBLE_SECOND = "second_kind"
 NOT_NEGLIGIBLE = "not_negligible"
-
-
-class ResolutionDepthError(RuntimeError):
-    pass
-
-
-class IrrationalPointError(ValueError):
-    """A singular point on the exceptional line is not rational over Q."""
-
-
-class ExtensionDegreeError(RuntimeError):
-    """A point on the exceptional line needs a field F_{p^k} with k above
-    MAX_EXTENSION_DEGREE."""
 
 
 @dataclass(frozen=True)

@@ -101,7 +101,7 @@ class UPoly:
         return UPoly(f, [f.mul(c, a) for a in self.coeffs])
 
     def monic(self):
-        if self.is_zero():
+        if self.is_zero() or self.leading() == self.field.one:
             return self
         return self.scale(self.field.inv(self.leading()))
 
@@ -111,10 +111,11 @@ class UPoly:
             raise ZeroDivisionError("polynomial division by zero")
         rem = list(self.coeffs)
         db = other.degree
-        inv_lead = f.inv(other.leading())
+        lead = other.leading()
+        inv_lead = None if lead == f.one else f.inv(lead)  # None: monic
         q = [f.zero] * max(0, len(rem) - db)
         while len(rem) - 1 >= db and rem:
-            c = f.mul(rem[-1], inv_lead)
+            c = rem[-1] if inv_lead is None else f.mul(rem[-1], inv_lead)
             d = len(rem) - 1 - db
             q[d] = c
             for i, bc in enumerate(other.coeffs):

@@ -455,6 +455,16 @@ def test_kappa_bound_exit_2():
             f"covergeo kappa: primes up to {top} exceed the bound {MAX_KAPPA_P}"]
 
 
+@pytest.mark.parametrize("lo, hi", [(10, 5), (24, 28), (0, 2)])
+def test_kappa_range_without_primes_exit_2(lo, hi):
+    # an empty table used to pass both checks on no rows and exit 0
+    code, out, err = run_cli(["kappa", "--min", str(lo), "--max", str(hi),
+                              "--no-timestamp"])
+    assert code == 2 and out == ""
+    assert err.splitlines() == [
+        f"covergeo kappa: no prime p >= 3 between --min {lo} and --max {hi}"]
+
+
 def test_kappa_command():
     code, out, _ = run_cli(["kappa", "--min", "5", "--max", "13",
                             "--no-timestamp", "--format", "records"])
@@ -477,6 +487,10 @@ def test_genus_command():
     (["genus", "--p", "1000000000000000003", "--g", "3"],
      f"field characteristic 1000000000000000003 exceeds the bound "
      f"{MAX_CHARACTERISTIC}"),
+    # a negative genus used to print "quasi-hyperelliptic-genus no" and exit 0
+    (["genus", "--p", "5", "--g", "-1"], "genus must be >= 0, got g=-1"),
+    (["genus", "--p", "5", "--upper", "2", "--g", "-1"],
+     "genus must be >= 0, got g=-1"),
 ])
 def test_genus_validates_p_before_any_row(argv, message):
     # --g alone used to print a torsion row "n/a (...)" and exit 0

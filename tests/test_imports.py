@@ -1,0 +1,83 @@
+"""Each covergeo command loads only the modules it runs, and the package
+re-exports its names lazily.  Module sets are read in fresh interpreters,
+since this test process has long since imported everything."""
+
+import os
+import subprocess
+import sys
+from pathlib import Path
+
+import pytest
+
+import covergeo
+
+SRC = Path(__file__).resolve().parent.parent / "src"
+
+CLOSED_FORM_COMMANDS_SKIP = {"polynomials", "univariate", "resolution", "parsing", "fibration"}
+RESOLVE_SKIPS = {"geography", "genus", "fibration", "verify", "xi"}
+
+# main(argv), then the exit code and the loaded covergeo submodules
+RUN_MAIN = """\
+import contextlib, io, sys
+from covergeo.cli import main
+with contextlib.redirect_stdout(io.StringIO()):
+    code = main(sys.argv[1:])
+print(code, *sorted(m for m in sys.modules if m.startswith("covergeo.")))
+"""
+
+
+def _python(code, *args):
+    path = os.pathsep.join(filter(None, [str(SRC), os.environ.get("PYTHONPATH")]))
+    done = subprocess.run([sys.executable, "-c", code, *args],
+                          env={**os.environ, "PYTHONPATH": path},
+                          capture_output=True, text=True, timeout=60)
+    assert done.returncode == 0, done.stderr
+    return done.stdout
+
+
+def _loaded(argv):
+    code, *modules = _python(RUN_MAIN, *argv, "--no-timestamp").split()
+    assert code == "0", argv
+    return {m.removeprefix("covergeo.") for m in modules}
+
+
+@pytest.mark.parametrize("argv", [
+    ["kappa", "--max", "50"],
+    ["raynaud", "--p", "5", "--l", "2"],
+    ["char3", "--n", "3"],
+    ["genus", "--p", "5", "--upper", "2", "--g", "2"],
+    ["xi", "--family", "1", "1", "3", "2"],
+    ["verify", "app1"],
+    ["verify", "raynaud"],
+    ["verify", "xi-ineq"],
+    ["verify", "kappa"],
+    ["verify", "genus"],
+], ids=" ".join)
+def test_closed_form_commands_skip_the_resolution_stack(argv):
+    loaded = _loaded(argv)
+    assert not loaded & CLOSED_FORM_COMMANDS_SKIP, sorted(loaded & CLOSED_FORM_COMMANDS_SKIP)
+
+
+def test_kappa_loads_exactly_its_modules():
+    assert _loaded(["kappa", "--max", "50"]) == {"cli", "reports", "fields", "geography"}
+
+
+def test_resolve_skips_the_closed_forms():
+    loaded = _loaded(["resolve", "x^5 - t^4", "--field", "F5"])
+    assert not loaded & RESOLVE_SKIPS, sorted(loaded & RESOLVE_SKIPS)
+    assert {"resolution", "parsing"} <= loaded
+
+
+def test_every_exported_name_imports_from_the_package():
+    assert covergeo.__all__
+    for name in covergeo.__all__:
+        namespace = {}
+        exec(f"from covergeo import {name}", namespace)
+        assert namespace[name] is getattr(covergeo, name)
+    assert covergeo.canonical_resolution is covergeo.resolution.canonical_resolution
+
+
+def test_submodules_are_attributes_after_importing_the_cli():
+    out = _python("import covergeo.cli; "
+                  "print(callable(covergeo.fields.extension_field.cache_info))")
+    assert out.split() == ["True"]
