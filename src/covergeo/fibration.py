@@ -4,10 +4,10 @@ A datum records p >= 5, the base genus q >= 2, and a list of branch points,
 each carrying a singularity class I-IV and a ramification type.  From these
 the pole degree alpha, the count d of vertical branch components, and the
 holomorphic Euler characteristics of the normalized cover and of the smooth
-model are exact rational (in fact integer) expressions:
+model are integers:
 
     chi_cover  = (p-3)(q-1)/2 + (p-1)(alpha+d)/4
-    chi_smooth = (p-3)(q-1)/2 + (p-1)alpha/4 + sum_b ((p-1) d_b / 4 - xi_b)
+    chi_smooth = chi_cover - sum_b xi_b
 
 Consistency asks for the degree identity 2*alpha + 2(q-1) = sum_b R_b, for
 alpha + d even, and for alpha >= 1.  Every consistent datum satisfies
@@ -49,9 +49,6 @@ class BranchPointDatum:
             return 0
         lam = self.ramification
         return p * lam.j if lam.is_wild else lam.R + 1
-
-    def fmt(self) -> str:
-        return f"{self.cls.value}:{self.ramification.fmt()}"
 
 
 @dataclass(frozen=True)
@@ -133,36 +130,25 @@ def _require_valid(datum: FibrationDatum) -> None:
         )
 
 
-def chi_normalized_cover(datum: FibrationDatum) -> Fraction:
-    """chi of the normalized double cover X0 of the ruled surface."""
-    _require_valid(datum)
-    alpha, d = alpha_of(datum), d_of(datum)
-    chi = Fraction((datum.p - 3) * (datum.q - 1), 2) + Fraction(
-        (datum.p - 1) * (alpha + d), 4
-    )
-    assert chi.denominator == 1
-    return chi
-
-
-def point_xi(datum: FibrationDatum, pt: BranchPointDatum) -> int:
-    return xi_type(pt.cls, pt.ramification, datum.p)
-
-
-def chi_smooth_model(datum: FibrationDatum) -> Fraction:
-    """chi of the smooth model: the cover value minus all local invariants."""
+def chi_normalized_cover(datum: FibrationDatum) -> int:
+    """chi of the normalized double cover X0 of the ruled surface.  Exact in
+    integers: p is odd, and validate checks that the quarter term is."""
     _require_valid(datum)
     p, q = datum.p, datum.q
-    alpha = alpha_of(datum)
-    chi = Fraction((p - 3) * (q - 1), 2) + Fraction((p - 1) * alpha, 4)
-    for pt in datum.points:
-        chi += Fraction((p - 1) * pt.d_b, 4) - point_xi(datum, pt)
-    assert chi.denominator == 1
-    return chi
+    alpha, d = alpha_of(datum), d_of(datum)
+    return (p - 3) * (q - 1) // 2 + (p - 1) * (alpha + d) // 4
+
+
+def chi_smooth_model(datum: FibrationDatum) -> int:
+    """chi of the smooth model: the cover value minus all local invariants."""
+    return chi_normalized_cover(datum) - sum(
+        xi_type(pt.cls, pt.ramification, datum.p) for pt in datum.points
+    )
 
 
 @dataclass(frozen=True)
 class EvidenceResult:
-    chi: Fraction
+    chi: int
     bound: Fraction
     passed: bool
 
@@ -179,7 +165,7 @@ def evidence_bound_check(datum: FibrationDatum) -> EvidenceResult:
 # Serialization: canonical JSON with fields p, q, points.
 
 
-def datum_to_dict(datum: FibrationDatum) -> dict:
+def datum_to_json(datum: FibrationDatum) -> str:
     points = []
     for pt in datum.points:
         rec = {"class": pt.cls.value, "kind": pt.ramification.kind,
@@ -187,11 +173,13 @@ def datum_to_dict(datum: FibrationDatum) -> dict:
         if pt.ramification.is_wild:
             rec["j"] = pt.ramification.j
         points.append(rec)
-    return {"p": datum.p, "q": datum.q, "points": points}
+    data = {"p": datum.p, "q": datum.q, "points": points}
+    return json.dumps(data, indent=2) + "\n"
 
 
-def datum_from_dict(data: dict) -> FibrationDatum:
+def datum_from_json(text: str) -> FibrationDatum:
     try:
+        data = json.loads(text)
         points = []
         for rec in data["points"]:
             cls = SingularityClass(rec["class"])
@@ -203,18 +191,6 @@ def datum_from_dict(data: dict) -> FibrationDatum:
         return FibrationDatum(int(data["p"]), int(data["q"]), tuple(points))
     except (KeyError, TypeError, ValueError, OverflowError) as exc:
         raise InvalidDatumError(f"malformed fibration datum: {exc}") from exc
-
-
-def datum_to_json(datum: FibrationDatum) -> str:
-    return json.dumps(datum_to_dict(datum), indent=2) + "\n"
-
-
-def datum_from_json(text: str) -> FibrationDatum:
-    try:
-        data = json.loads(text)
-    except json.JSONDecodeError as exc:
-        raise InvalidDatumError(f"malformed fibration datum: {exc}") from exc
-    return datum_from_dict(data)
 
 
 def load_datum(path: str | Path) -> FibrationDatum:
@@ -233,12 +209,12 @@ def _tame_indexes(p: int, lo: int, hi: int) -> list[int]:
     return [r for r in range(lo, hi + 1) if (r + 1) % p]
 
 
-def random_datum(rng: random.Random, p: int | None = None,
-                 q_max: int = 20) -> FibrationDatum:
+RANDOM_Q_MAX = 20
+
+
+def random_datum(rng: random.Random, p: int) -> FibrationDatum:
     """One consistent datum: sample pole and vertical points, then choose q
     and pad with simple class I points to satisfy the degree identity."""
-    if p is None:
-        p = rng.choice((5, 7, 11))
     for _ in range(64):
         points: list[BranchPointDatum] = []
         for _ in range(rng.randint(1, 3)):  # points of class III / IV
@@ -265,9 +241,9 @@ def random_datum(rng: random.Random, p: int | None = None,
                 SingularityClass.II, RamificationType.tame(0)))
         total_r = sum(pt.ramification.R for pt in points)
         q_min = max(2, (total_r - 2 * alpha) // 2 + 1)
-        if q_min > q_max:
+        if q_min > RANDOM_Q_MAX:
             continue
-        q = rng.randint(q_min, q_max)
+        q = rng.randint(q_min, RANDOM_Q_MAX)
         fill = 2 * alpha + 2 * (q - 1) - total_r
         if fill < 0:
             continue
@@ -281,8 +257,8 @@ def random_datum(rng: random.Random, p: int | None = None,
     raise RuntimeError("datum generator failed to converge")  # pragma: no cover
 
 
-def iter_random_data(seed: int, count: int, ps=(5, 7, 11),
-                     q_max: int = 20):
+def iter_random_data(seed: int, count: int):
+    """count seeded data, with p cycling through 5, 7 and 11."""
     rng = random.Random(seed)
     for i in range(count):
-        yield random_datum(rng, p=ps[i % len(ps)], q_max=q_max)
+        yield random_datum(rng, p=(5, 7, 11)[i % 3])

@@ -62,9 +62,11 @@ class ExtensionDegreeError(RuntimeError):
     MAX_EXTENSION_DEGREE."""
 
 
+@functools.lru_cache
 def is_prime(n: int) -> bool:
     """Trial division; every characteristic is tested here, so a number past
-    MAX_CHARACTERISTIC raises ValueError before any division."""
+    MAX_CHARACTERISTIC raises ValueError before any division.  Cached, as
+    callers such as xi_type test the same p again for every branch point."""
     if n > MAX_CHARACTERISTIC:
         raise ValueError(
             f"field characteristic {n} exceeds the bound {MAX_CHARACTERISTIC}"
@@ -167,9 +169,6 @@ class RationalField:
     def pow(self, a, e: int):
         return Fraction(a) ** e
 
-    def sort_key(self, a):
-        return Fraction(a)
-
     def fmt(self, a) -> str:
         return fmt_fraction(a)
 
@@ -219,9 +218,6 @@ class PrimeField:
 
     def decode(self, code: int):
         return code % self.p
-
-    def sort_key(self, a):
-        return a
 
     def fmt(self, a) -> str:
         return str(a)
@@ -411,14 +407,8 @@ class ExtensionField:
         self.add, self.sub, self.neg, self.mul = add, sub, neg, mul
         self.inv, self.pow, self.pth_root = inv, pow, pth_root
 
-    def encode(self, a) -> int:
-        return a
-
     def decode(self, code: int):
         return code % self.order
-
-    def sort_key(self, a):
-        return a
 
     def fmt(self, a) -> str:
         return _fmt_intpoly(self.digits(a), "g")

@@ -86,21 +86,21 @@ def tower_monotonicity(genera: list[int], p: int) -> bool:
     return True
 
 
-def quasi_hyperelliptic_genus_ok(g: int, p: int,
-                                 exponent_bound: int = 12) -> bool | None:
+QH_EXPONENT_BOUND = 12
+
+
+def quasi_hyperelliptic_genus_ok(g: int, p: int) -> bool | None:
     """Whether 2g + 2 = p^i + p^j has a solution with 0 <= i, j.
 
-    Exponents are searched up to exponent_bound; if no solution exists there
-    but larger exponents could still reach 2g + 2, the answer is unknown at
-    this bound and None is returned rather than a false negative.  A
-    negative genus raises ValueError.
+    Exponents are searched up to QH_EXPONENT_BOUND; if no solution exists
+    there but larger exponents could still reach 2g + 2, the answer is
+    unknown at this bound and None is returned rather than a false negative.
+    A negative genus raises ValueError.
     """
     if g < 0:
         raise ValueError(f"genus must be >= 0, got g={g}")
-    if exponent_bound < 1:
-        raise ValueError("exponent bound must be >= 1")
     target = 2 * g + 2
-    powers = [p**i for i in range(exponent_bound + 1)]
+    powers = [p**i for i in range(QH_EXPONENT_BOUND + 1)]
     for i, pi in enumerate(powers):
         if pi > target:
             break
@@ -109,4 +109,3 @@ def quasi_hyperelliptic_genus_ok(g: int, p: int,
     if powers[-1] * p + 1 <= target:
         return None  # a larger exponent might still work
     return False
-

@@ -72,13 +72,12 @@ class KappaReport:
     p: int
     conjectural: Fraction | None
     proven_lower: Fraction | None
-    proven_is_exact: bool
 
     @property
     def note(self) -> str:
         if self.p == 3:
             return "positive, no explicit value"
-        if self.proven_is_exact:
+        if self.p == 5:
             return "exact value"
         return "strict lower bound"
 
@@ -95,10 +94,10 @@ def raynaud_invariants(p: int, l: int) -> SurfaceInvariants:
             f"l = {l} is inadmissible: l must be positive and even for "
             f"chi = (p^2-4p-1)l/8 and q = pl/2 + 1 to be integers"
         )
+    # for odd p, p^2-4p-1 = 4 and 3p^2-8p-3 = 0 (mod 8), so an even l
+    # makes both quotients below exact
     chi_num = (p * p - 4 * p - 1) * l
     k2_num = (3 * p * p - 8 * p - 3) * l
-    if chi_num % 8 or k2_num % 2:
-        raise ValueError(f"l = {l} fails the integrality conditions")
     q = p * l // 2 + 1
     inv = SurfaceInvariants(
         p=p,
@@ -112,20 +111,6 @@ def raynaud_invariants(p: int, l: int) -> SurfaceInvariants:
     assert inv.c2 == -4 * (q - 1)
     assert Fraction(inv.chi, inv.K2) == kappa_conjectural(p)
     return inv
-
-
-def smallest_admissible_l(p: int, count: int) -> list[int]:
-    out = []
-    l = 1
-    while len(out) < count:
-        try:
-            raynaud_invariants(p, l)
-        except ValueError:
-            pass
-        else:
-            out.append(l)
-        l += 1
-    return out
 
 
 @dataclass(frozen=True)
@@ -188,7 +173,6 @@ def kappa_table(p_min: int, p_max: int) -> list[KappaReport]:
             p=p,
             conjectural=_conjectural(p) if p >= 5 else None,
             proven_lower=_proven_lower(p),
-            proven_is_exact=(p == 5),
         )
         for p in primes_between(max(p_min, 3), p_max)
     ]

@@ -17,7 +17,7 @@ import operator
 from fractions import Fraction
 from functools import reduce
 
-from .fields import PrimeField, extension_field
+from .fields import PrimeField
 from .univariate import UPoly, u_factor, u_rational_roots, u_roots, u_squarefree, ugcd  # noqa: F401
 
 
@@ -177,8 +177,7 @@ class BPoly:
         return sorted(self.terms.items(), key=lambda ec: (-ec[0][0], -ec[0][1]))
 
     def sort_key(self):
-        fld = self.field
-        return tuple((e, fld.sort_key(c)) for e, c in sorted(self.terms.items()))
+        return tuple(sorted(self.terms.items()))
 
     def fmt(self) -> str:
         if not self.terms:
@@ -648,8 +647,3 @@ def extension_embedding(small, big):
     if small.tabled:
         return [embed(a) for a in range(small.order)].__getitem__
     return embed
-
-
-def splitting_extension(field, degree: int):
-    """The canonical field F_{p^(k*degree)} over the given finite field."""
-    return extension_field(field.char, field.k * degree)

@@ -31,13 +31,13 @@ from .fields import (
     ExtensionDegreeError,
     IrrationalPointError,
     ResolutionDepthError,
+    extension_field,
 )
 from .polynomials import (
     BPoly,
     UPoly,
     b_squarefree,
     extension_embedding,
-    splitting_extension,
     u_factor,
     u_rational_roots,
     u_roots,
@@ -269,7 +269,7 @@ def _sites_on_exceptional(strict_x: BPoly, branch_x: BPoly, strict_t: BPoly,
                 f"the extension degree bound {MAX_EXTENSION_DEGREE}"
             )
         else:
-            big = splitting_extension(fld, degree)
+            big = extension_field(fld.p, fld.k * degree)
             embed = extension_embedding(fld, big)
             tau = u_roots(UPoly(big, [embed(c) for c in tau.coeffs]))[0]
             local = branch_x.map_to(big, embed).translate_t(tau)

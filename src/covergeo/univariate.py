@@ -160,27 +160,10 @@ class UPoly:
         return result
 
     def sort_key(self):
-        return (self.degree, tuple(self.field.sort_key(c) for c in self.coeffs))
-
-    def fmt(self, var: str = "t") -> str:
-        f = self.field
-        if self.is_zero():
-            return "0"
-        terms = []
-        for d in range(len(self.coeffs) - 1, -1, -1):
-            c = self.coeffs[d]
-            if c == f.zero:
-                continue
-            cs = f.fmt(c)
-            if d == 0:
-                terms.append(cs)
-            else:
-                head = "" if cs == "1" else f"{cs}*"
-                terms.append(f"{head}{var}" + (f"^{d}" if d > 1 else ""))
-        return " + ".join(terms)
+        return (self.degree, self.coeffs)
 
     def __repr__(self):
-        return f"UPoly({self.fmt()!r} over {self.field.name})"
+        return f"UPoly({self.coeffs!r} over {self.field.name})"
 
 
 def ugcd(a: UPoly, b: UPoly) -> UPoly:
@@ -331,7 +314,7 @@ def u_roots(f: UPoly) -> list[object]:
     if g.degree > 0:
         for lin in _equal_degree_split(g.monic(), 1):
             roots.append(field.neg(lin.coeffs[0]))
-    roots.sort(key=field.sort_key)
+    roots.sort()
     return roots
 
 

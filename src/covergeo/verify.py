@@ -26,7 +26,6 @@ from .geography import (
     kappa_proven_lower,
     noether_check,
     raynaud_invariants,
-    smallest_admissible_l,
 )
 from .xi import (
     RamificationType,
@@ -62,9 +61,9 @@ def coprime_pairs(limit: int):
                 yield m, n
 
 
-def suite_oracle(limit: int = 12, primes=(5, 7, 13)) -> list[Check]:
-    """Blow-up engine vs closed recursion on the monomial family, over Q and
-    over each listed prime field large enough for the exponents."""
+def suite_oracle() -> list[Check]:
+    """Blow-up engine vs closed recursion on the monomial family with m, n
+    <= 12, over Q and over each of F5, F7, F13 larger than the exponents."""
     from .resolution import canonical_resolution
 
     out: list[Check] = []
@@ -72,9 +71,9 @@ def suite_oracle(limit: int = 12, primes=(5, 7, 13)) -> list[Check]:
         for b in (0, 1):
             mismatches = []
             total = 0
-            for m, n in coprime_pairs(limit):
+            for m, n in coprime_pairs(12):
                 fields = [QQ] + [
-                    prime_field(p) for p in primes if p > max(m, n)
+                    prime_field(p) for p in (5, 7, 13) if p > max(m, n)
                 ]
                 expected = xi_family(a, b, m, n)
                 for fld in fields:
@@ -92,14 +91,14 @@ def suite_oracle(limit: int = 12, primes=(5, 7, 13)) -> list[Check]:
     return out
 
 
-def suite_app1(limit: int = 31) -> list[Check]:
-    """Closed bound dominates the recursion for odd m; equality is witnessed
-    at (1,1,3,2)."""
+def suite_app1() -> list[Check]:
+    """Closed bound dominates the recursion for odd m, with m, n <= 31;
+    equality is witnessed at (1,1,3,2)."""
     out: list[Check] = []
     violations = []
     total = 0
-    for m in range(1, limit + 1, 2):
-        for n in range(1, limit + 1):
+    for m in range(1, 32, 2):
+        for n in range(1, 32):
             if math.gcd(m, n) != 1:
                 continue
             for a in (0, 1):
@@ -119,7 +118,10 @@ def suite_app1(limit: int = 31) -> list[Check]:
     return out
 
 
-def suite_evidence(seed: int = DEFAULT_SEED, count: int = 500) -> list[Check]:
+EVIDENCE_COUNT = 500
+
+
+def suite_evidence(seed: int = DEFAULT_SEED) -> list[Check]:
     """Generated consistent fibration data all meet the chi lower bound; the
     hand instance (p=5, q=2, five I points R=1, one tame III R=1) has chi 3."""
     from .fibration import (
@@ -131,7 +133,7 @@ def suite_evidence(seed: int = DEFAULT_SEED, count: int = 500) -> list[Check]:
     )
 
     failures = []
-    for datum in iter_random_data(seed, count):
+    for datum in iter_random_data(seed, EVIDENCE_COUNT):
         result = evidence_bound_check(datum)
         if not result.passed:
             failures.append(f"p={datum.p} q={datum.q}")
@@ -139,7 +141,7 @@ def suite_evidence(seed: int = DEFAULT_SEED, count: int = 500) -> list[Check]:
         (
             f"evidence-bound-sweep(seed={seed})",
             not failures,
-            f"{count} data" if not failures else "; ".join(failures[:5]),
+            f"{EVIDENCE_COUNT} data" if not failures else "; ".join(failures[:5]),
         )
     ]
     hand = FibrationDatum(
@@ -162,14 +164,14 @@ def suite_evidence(seed: int = DEFAULT_SEED, count: int = 500) -> list[Check]:
     return out
 
 
-def suite_raynaud(primes=(5, 7, 11, 13), l_count: int = 3) -> list[Check]:
+def suite_raynaud() -> list[Check]:
     """chi/K^2 equals the conjectural ratio and 12chi - K^2 = c2 = -4(q-1)
-    on the ruled-surface family."""
+    on the ruled-surface family, at its three smallest l for p = 5..13."""
     out: list[Check] = []
-    for p in primes:
+    for p in (5, 7, 11, 13):
         ok = True
         details = []
-        for l in smallest_admissible_l(p, l_count):
+        for l in (2, 4, 6):
             inv = raynaud_invariants(p, l)
             ratio_ok = Fraction(inv.chi, inv.K2) == kappa_conjectural(p)
             chern_ok = (
@@ -183,11 +185,11 @@ def suite_raynaud(primes=(5, 7, 11, 13), l_count: int = 3) -> list[Check]:
     return out
 
 
-def suite_xi_inequalities(primes=(5, 7, 11)) -> list[Check]:
-    """Per-class linear bounds have non-negative slack over the stated tame
-    and wild ranges; equality is witnessed at (III, wild j=1, R=p)."""
+def suite_xi_inequalities() -> list[Check]:
+    """Per-class linear bounds have non-negative slack over the stated ranges
+    for p = 5, 7, 11; equality is witnessed at (III, wild j=1, R=p)."""
     out: list[Check] = []
-    for p in primes:
+    for p in (5, 7, 11):
         violations = []
         total = 0
         for cls in SingularityClass:
@@ -250,13 +252,12 @@ def suite_kappa() -> list[Check]:
     return out
 
 
-def suite_genus(primes=(3, 5, 7, 11), g_max: int = 60,
-                enum_g_max: int = 200) -> list[Check]:
+def suite_genus() -> list[Check]:
     out: list[Check] = []
     bad = []
     total = rc_total = 0
-    for p in primes:
-        for g in range(1, g_max + 1):
+    for p in (3, 5, 7, 11):
+        for g in range(1, 61):
             if (2 * g) % (p - 1):
                 continue
             total += 1
@@ -273,14 +274,14 @@ def suite_genus(primes=(3, 5, 7, 11), g_max: int = 60,
                 if not bad else "; ".join(bad[:5])))
     bad = []
     for p in (3, 5, 7):
-        for g in range(0, enum_g_max + 1):
+        for g in range(0, 201):
             member = quasi_hyperelliptic_genus_ok(g, p)
             if member is True:
                 rec = GenusChangeRecord(p, g, 0)
                 if not tate_divisibility(rec):
                     bad.append(f"(p={p},g={g})")
     out.append(("quasi-hyperelliptic-implies-divisible", not bad,
-                str(bad or f"g <= {enum_g_max}")))
+                str(bad or "g <= 200")))
     return out
 
 

@@ -39,13 +39,13 @@ def _assert_suite(checks, label):
 def test_criterion_1_oracle_equivalence():
     # blow-up engine == closed recursion on x^a t^b (x^m - t^n), coprime
     # m, n <= 12, over Q and over F_5, F_7, F_13 where p > max(m, n)
-    _assert_suite(suite_oracle(limit=12, primes=(5, 7, 13)), "1-oracle-equivalence")
+    _assert_suite(suite_oracle(), "1-oracle-equivalence")
 
 
 def test_criterion_2_bound_sweep():
     # xi <= closed bound for odd m <= 31, coprime n <= 31, with equality
     # observed at (1, 1, 3, 2)
-    _assert_suite(suite_app1(limit=31), "2-bound-sweep")
+    _assert_suite(suite_app1(), "2-bound-sweep")
 
 
 def test_criterion_3_kappa_values():
@@ -57,15 +57,13 @@ def test_criterion_3_kappa_values():
 def test_criterion_4_raynaud_identities():
     # chi/K^2 equals the conjectural ratio and 12chi - K^2 = c2 = -4(q-1)
     # for p in {5,7,11,13}, three smallest admissible l each
-    _assert_suite(
-        suite_raynaud(primes=(5, 7, 11, 13), l_count=3), "4-raynaud-identities"
-    )
+    _assert_suite(suite_raynaud(), "4-raynaud-identities")
 
 
 def test_criterion_5_evidence_sweep():
     # >= 500 generated consistent fibration data meet the chi lower bound;
     # the hand instance (p=5, q=2, five I points, one tame III) has chi = 3
-    checks = suite_evidence(seed=1729, count=500)
+    checks = suite_evidence(seed=1729)
     _assert_suite(checks, "5-evidence-sweep")
     hand = FibrationDatum(
         5,
@@ -83,16 +81,13 @@ def test_criterion_6_xi_inequality_sweep():
     # slack >= 0 for all four classes, p in {5,7,11}, tame R <= 4p with
     # p not dividing R+1, wild 1 <= j <= 3 with pj <= R <= pj+p-2;
     # equality witnessed at (III, wild j=1, R=p)
-    _assert_suite(suite_xi_inequalities(primes=(5, 7, 11)), "6-xi-inequalities")
+    _assert_suite(suite_xi_inequalities(), "6-xi-inequalities")
 
 
 def test_criterion_7_genus_change_suite():
     # torsion formulas reproduce 2pg/(p-1) for p in {3,5,7,11}, g <= 60;
     # membership enumeration consistent with divisibility for g <= 200
-    _assert_suite(
-        suite_genus(primes=(3, 5, 7, 11), g_max=60, enum_g_max=200),
-        "7-genus-change",
-    )
+    _assert_suite(suite_genus(), "7-genus-change")
 
 
 def test_criterion_8_resolution_goldens():

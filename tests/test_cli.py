@@ -394,6 +394,24 @@ def test_xi_type_large_ramification_is_closed_form(tmp_path):
     assert code == 0 and "invariant\tchi-smooth\t2" in out
 
 
+def test_fibration_large_p_tests_primality_once(tmp_path):
+    # xi_type tests p for primality at every point, about 2 ms each at
+    # 2^31 - 1: these 4,002 points took 8 s before the test was cached
+    q = 2000
+    datum = {
+        "p": MAX_CHARACTERISTIC,
+        "q": q,
+        "points": [{"class": "III", "kind": "tame", "R": 1}]
+        + [{"class": "I", "kind": "tame", "R": 1}] * (2 * q + 1),
+    }
+    path = tmp_path / "datum.json"
+    path.write_text(json.dumps(datum), encoding="utf-8")
+    code, out, _ = run_cli_within(
+        2, ["fibration", str(path), "--no-timestamp", "--format", "records"],
+        f"a fibration with p = {MAX_CHARACTERISTIC}")
+    assert code == 0 and "summary\tPASS\t" in out
+
+
 @pytest.mark.parametrize("argv", [
     ["raynaud", "--p", "1000000000000000003", "--l", "2"],
     ["xi", "--type", "I", "--tame", "R=3", "--p", "1000000000000000003"],
@@ -514,3 +532,9 @@ def test_verify_seed_changes_digest():
     _, out2, _ = run_cli(["verify", "app1", "--seed", "7", "--no-timestamp",
                           "--format", "records"])
     assert out1.splitlines()[1] != out2.splitlines()[1]  # digest differs
+
+
+def test_verify_all_golden():
+    code, out, _ = run_cli(["verify", "all", "--no-timestamp", "--format", "records"])
+    assert code == 0
+    assert out == (GOLDEN_DIR / "verify_all.records").read_text(encoding="utf-8")

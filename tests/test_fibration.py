@@ -14,12 +14,11 @@ from covergeo.fibration import (
     evidence_bound_check,
     iter_random_data,
     load_datum,
-    point_xi,
     random_datum,
     save_datum,
     validate,
 )
-from covergeo.xi import RamificationType, SingularityClass
+from covergeo.xi import RamificationType, SingularityClass, xi_type
 
 I, II, III, IV = (
     SingularityClass.I,
@@ -119,9 +118,13 @@ def test_chi_rejects_invalid():
 
 def test_cover_minus_smooth_is_total_xi():
     for datum in iter_random_data(99, 60):
-        delta = chi_normalized_cover(datum) - chi_smooth_model(datum)
-        assert delta == sum(point_xi(datum, pt) for pt in datum.points)
-        assert chi_smooth_model(datum).denominator == 1
+        p, q = datum.p, datum.q
+        alpha, d = alpha_of(datum), sum(pt.d_b for pt in datum.points)
+        cover = chi_normalized_cover(datum)
+        assert type(cover) is int
+        assert cover == Fraction((p - 3) * (q - 1), 2) + Fraction((p - 1) * (alpha + d), 4)
+        assert cover - chi_smooth_model(datum) == sum(
+            xi_type(pt.cls, pt.ramification, p) for pt in datum.points)
 
 
 def test_p7_cover_chi():

@@ -63,7 +63,7 @@ def test_quasi_hyperelliptic_membership():
     assert quasi_hyperelliptic_genus_ok(12, 5) is True  # 26 = 25 + 1
     # beyond the bound the answer is unknown, never a false negative
     huge = (5**13 + 1 - 2) // 2
-    assert quasi_hyperelliptic_genus_ok(huge, 5, exponent_bound=12) is None
+    assert quasi_hyperelliptic_genus_ok(huge, 5) is None
     with pytest.raises(ValueError, match="^genus must be >= 0, got g=-1$"):
         quasi_hyperelliptic_genus_ok(-1, 5)
 

@@ -13,7 +13,6 @@ from covergeo.geography import (
     noether_check,
     raynaud_invariants,
     sb_lower_bound_check,
-    smallest_admissible_l,
 )
 
 CHAR2_REFERENCE = SurfaceInvariants(p=2, K2=14, c2=-2, chi=1)
@@ -83,7 +82,6 @@ def test_raynaud_rejects_odd_l():
 
 def test_raynaud_family_identities():
     for p in (5, 7, 11, 13):
-        assert smallest_admissible_l(p, 3) == [2, 4, 6]
         for l in (2, 4, 6):
             inv = raynaud_invariants(p, l)
             assert noether_check(inv)

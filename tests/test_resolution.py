@@ -495,14 +495,14 @@ def test_regular_conjugate_points_build_no_field(monkeypatch):
     # crossing, so its conjugate points are counted as regular where they
     # are; at odd m the line stays in the branch and the points are nodes
     calls = Counter()
-    _count_calls(monkeypatch, covergeo.resolution, "splitting_extension", calls)
+    _count_calls(monkeypatch, covergeo.resolution, "extension_field", calls)
     for expr, class_ in (("x^2 - 2*t^2", NEGLIGIBLE_FIRST),
                          ("x^8 - 2*t^8", NOT_NEGLIGIBLE)):
         trace = canonical_resolution(germ(expr, "F5"))
         assert len(trace.steps) == 1 and trace.negligible == class_
     assert calls == Counter()
     canonical_resolution(germ("t*(x^2 - 2*t^2)", "F5"))
-    assert calls["splitting_extension"] == 1
+    assert calls["extension_field"] == 1
 
 
 # -- metamorphic properties ----------------------------------------------------
