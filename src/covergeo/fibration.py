@@ -183,14 +183,19 @@ def datum_from_json(text: str) -> FibrationDatum:
         points = []
         for rec in data["points"]:
             cls = SingularityClass(rec["class"])
-            if rec["kind"] == "wild":
-                lam = RamificationType.wild(int(rec["j"]), int(rec["R"]))
-            else:
-                lam = RamificationType.tame(int(rec["R"]))
+            j = _json_int(rec["j"], "j") if "j" in rec else None
+            lam = RamificationType(rec["kind"], _json_int(rec["R"], "R"), j)
             points.append(BranchPointDatum(cls, lam))
-        return FibrationDatum(int(data["p"]), int(data["q"]), tuple(points))
-    except (KeyError, TypeError, ValueError, OverflowError) as exc:
+        return FibrationDatum(_json_int(data["p"], "p"), _json_int(data["q"], "q"),
+                              tuple(points))
+    except (KeyError, TypeError, ValueError, RecursionError) as exc:
         raise InvalidDatumError(f"malformed fibration datum: {exc}") from exc
+
+
+def _json_int(value, key: str) -> int:
+    if type(value) is not int:  # not a bool, a float or a string
+        raise ValueError(f"{key} must be a JSON integer")
+    return value
 
 
 def load_datum(path: str | Path) -> FibrationDatum:

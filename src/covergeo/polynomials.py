@@ -18,7 +18,8 @@ from fractions import Fraction
 from functools import reduce
 
 from .fields import PrimeField
-from .univariate import UPoly, u_factor, u_rational_roots, u_roots, u_squarefree, ugcd  # noqa: F401
+from .univariate import (  # noqa: F401
+    UPoly, u_factor, u_rational_roots, u_roots, u_squarefree, ugcd, yun_squarefree)
 
 
 class BPoly:
@@ -113,25 +114,21 @@ class BPoly:
     def x_degree(self) -> int:
         return max((i for i, _ in self.terms), default=-1)
 
-    def deriv_x(self):
+    def partials(self):
+        """(df/dx, df/dt), in one pass over the terms."""
         f = self.field
-        out: dict = {}
+        fx: dict = {}
+        ft: dict = {}
         for (i, j), c in self.terms.items():
             if i:
                 d = f.mul(f.from_int(i), c)
                 if d != f.zero:
-                    out[(i - 1, j)] = d
-        return BPoly(f, out)
-
-    def deriv_t(self):
-        f = self.field
-        out: dict = {}
-        for (i, j), c in self.terms.items():
+                    fx[(i - 1, j)] = d
             if j:
                 d = f.mul(f.from_int(j), c)
                 if d != f.zero:
-                    out[(i, j - 1)] = d
-        return BPoly(f, out)
+                    ft[(i, j - 1)] = d
+        return BPoly._adopt(f, fx), BPoly._adopt(f, ft)
 
     def restrict_x0(self) -> UPoly:
         """The univariate polynomial f(0, t)."""
@@ -529,13 +526,10 @@ def b_squarefree(f: BPoly) -> list[tuple[BPoly, int]]:
     """
     if f.is_zero():
         raise ValueError("cannot decompose the zero polynomial")
+    g = b_normalize(f)
     if not f.is_constant() and _certified_squarefree(f):
-        return [(b_normalize(f), 1)]
-    parts: dict[int, BPoly] = {}
-    _bsqf(b_normalize(f), 1, parts)
-    out = [(g, e) for e, g in parts.items()]
-    out.sort(key=lambda ge: (ge[1], ge[0].sort_key()))
-    return out
+        return [(g, 1)]
+    return yun_squarefree(g, BPoly.partials, b_gcd, b_exact_div, b_pth_root)
 
 
 # 2^31 - 1, a Mersenne prime (Euler), as the field of the image over Q;
@@ -590,39 +584,6 @@ def _image_passes(field, image: dict, degree: int, axis: int) -> bool:
             if ugcd(g, g.deriv()).is_constant():
                 return True
     return False
-
-
-def _bsqf(f: BPoly, mult: int, parts: dict[int, BPoly]) -> None:
-    # Yun's loop (D. Y. Y. Yun, SYMSAC 1976).  Step e finds the factors of
-    # multiplicity e with p not dividing e; those with p | e stay in d for
-    # the p-th root, whose parts carry mult * p.  So each key is set once:
-    # at recursion depth k every key is p^k times a number prime to p.
-    if f.is_constant():
-        return
-    fx, ft = f.deriv_x(), f.deriv_t()
-    if fx.is_zero() and ft.is_zero():
-        _bsqf(b_pth_root(f), mult * f.field.char, parts)
-        return
-    d = f
-    for partial in (fx, ft):
-        if not partial.is_zero():
-            d = b_gcd(d, partial)
-    if d.is_constant():
-        # f is squarefree: the loop below would divide by 1 and find f alone
-        parts[mult] = b_normalize(f)
-        return
-    w = b_exact_div(f, d)
-    e = 1
-    while not w.is_constant():
-        y = b_gcd(w, d)
-        a = b_exact_div(w, y)
-        if not a.is_constant():
-            parts[mult * e] = b_normalize(a)
-        w, d = y, b_exact_div(d, y)
-        e += 1
-    if not d.is_constant():
-        # leftover part carries only multiplicities divisible by p
-        _bsqf(b_pth_root(b_normalize(d)), mult * f.field.char, parts)
 
 
 @functools.lru_cache(maxsize=None)

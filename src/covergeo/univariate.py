@@ -177,39 +177,48 @@ def u_squarefree(f: UPoly) -> list[tuple[UPoly, int]]:
     and pairwise coprime; valid in characteristic 0 and p."""
     if f.is_zero():
         raise ValueError("cannot decompose the zero polynomial")
-    parts: dict[int, UPoly] = {}
-    _usqf(f.monic(), 1, parts)
-    out = [(g, e) for e, g in parts.items()]
-    out.sort(key=lambda ge: (ge[1], ge[0].sort_key()))
-    return out
+    return yun_squarefree(f.monic(), lambda g: (g.deriv(),), ugcd,
+                          UPoly.exact_div, _u_pth_root)
 
 
-def _usqf(f: UPoly, mult: int, parts: dict[int, UPoly]) -> None:
-    # Yun's loop (D. Y. Y. Yun, SYMSAC 1976) on a monic f.  Every operand
-    # below is monic, as gcds, quotients of monic polynomials and p-th roots
-    # of them are.  Step e finds the factors of multiplicity e with p not
-    # dividing e, so each key is set once: at recursion depth k every key is
-    # p^k times a number prime to p.
-    if f.is_constant():
-        return
-    p = f.field.char
-    fp = f.deriv()
-    if fp.is_zero():
-        # f is a polynomial in x^p, hence a p-th power over a perfect field
-        _usqf(_u_pth_root(f), mult * p, parts)
-        return
-    d = ugcd(f, fp)
-    w = f.exact_div(d)
-    e = 1
-    while not w.is_constant():
-        y = ugcd(w, d)
-        a = w.exact_div(y)
-        if not a.is_constant():
-            parts[mult * e] = a
-        w, d = y, d.exact_div(y)
-        e += 1
-    if not d.is_constant():
-        _usqf(_u_pth_root(d), mult * p, parts)
+def yun_squarefree(f, partials, gcd, exact_div, pth_root) -> list:
+    """Yun's loop (D. Y. Y. Yun, SYMSAC 1976) with the p-th-root step of
+    characteristic p, for ``UPoly`` and ``BPoly``: the (part, multiplicity)
+    list of a nonzero normalized f, sorted by multiplicity.
+
+    The caller passes its type's ``partials(f)`` (a tuple), normalized
+    ``gcd``, ``exact_div`` and ``pth_root``.  Gcds, quotients of normalized
+    polynomials and their p-th roots are normalized, so every operand and
+    part is.  Step e finds the parts of multiplicity e prime to p; the rest
+    stay in d, a p-th power whose root is decomposed with multiplicities
+    times p, so each multiplicity is found once.
+    """
+    parts: dict[int, object] = {}
+    mult = 1
+    while not f.is_constant():
+        derivs = [g for g in partials(f) if not g.is_zero()]
+        if not derivs:
+            # every exponent is divisible by p: f is a p-th power (F_q is perfect)
+            f, mult = pth_root(f), mult * f.field.char
+            continue
+        d = f
+        for g in derivs:
+            d = gcd(d, g)
+        if d.is_constant():
+            # f is squarefree: the loop below would divide by 1 and find f alone
+            parts[mult] = f
+            break
+        w = exact_div(f, d)
+        e = 1
+        while not w.is_constant():
+            y = gcd(w, d)
+            a = exact_div(w, y)
+            if not a.is_constant():
+                parts[mult * e] = a
+            w, d = y, exact_div(d, y)
+            e += 1
+        f = d  # constant, or a p-th power whose partials all vanish
+    return [(g, e) for e, g in sorted(parts.items())]
 
 
 def _u_pth_root(f: UPoly) -> UPoly:

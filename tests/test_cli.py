@@ -1,11 +1,13 @@
 import io
 import json
 import signal
+import time
 from contextlib import redirect_stderr, redirect_stdout
 from pathlib import Path
 
 import pytest
 
+import covergeo.cli
 import covergeo.fibration
 from covergeo.cli import main
 from covergeo.fields import MAX_CHARACTERISTIC
@@ -49,9 +51,11 @@ def test_resolve_reports_even_part():
 
 
 def run_cli_within(seconds, argv, what):
-    """run_cli under an alarm, so that a hang fails instead of stalling."""
+    """run_cli under an alarm, so that a hang fails instead of stalling.  The
+    alarm calls pytest.fail: a TimeoutError is an OSError, which main would
+    print as a clean exit 2."""
     def too_slow(*_):
-        raise TimeoutError(f"{what} took over {seconds} s")
+        pytest.fail(f"{what} took over {seconds} s")
 
     previous = signal.signal(signal.SIGALRM, too_slow)
     signal.alarm(seconds)
@@ -60,6 +64,12 @@ def run_cli_within(seconds, argv, what):
     finally:
         signal.alarm(0)
         signal.signal(signal.SIGALRM, previous)
+
+
+def test_hang_under_the_alarm_escapes_main(monkeypatch):
+    monkeypatch.setitem(covergeo.cli._DISPATCH, "kappa", lambda args: time.sleep(5))
+    with pytest.raises(pytest.fail.Exception, match="took over 1 s"):
+        run_cli_within(1, ["kappa"], "a sleeping command")
 
 
 def test_resolve_parse_error_exit_2():
@@ -301,15 +311,18 @@ def test_xi_needs_exactly_one_mode():
     assert code == 2  # missing --tame/--wild
 
 
+def readme_datum(point=(), **top):
+    """The README's example datum as JSON, with the first point's fields and
+    the top-level fields updated."""
+    points = ([{"class": "I", "kind": "tame", "R": 1}] * 5
+              + [{"class": "III", "kind": "tame", "R": 1}])
+    points[0] = {**points[0], **dict(point)}
+    return json.dumps({"p": 5, "q": 2, "points": points, **top})
+
+
 def test_fibration_command(tmp_path):
-    datum = {
-        "p": 5,
-        "q": 2,
-        "points": [{"class": "I", "kind": "tame", "R": 1}] * 5
-        + [{"class": "III", "kind": "tame", "R": 1}],
-    }
     path = tmp_path / "datum.json"
-    path.write_text(json.dumps(datum), encoding="utf-8")
+    path.write_text(readme_datum(), encoding="utf-8")
     code, out, _ = run_cli(["fibration", str(path), "--no-timestamp",
                             "--format", "records"])
     assert code == 0
@@ -339,14 +352,8 @@ def test_fibration_computes_chi_once(tmp_path, monkeypatch):
 
 
 def test_fibration_inconsistent_datum_fails(tmp_path):
-    datum = {
-        "p": 5,
-        "q": 3,
-        "points": [{"class": "I", "kind": "tame", "R": 1}] * 5
-        + [{"class": "III", "kind": "tame", "R": 1}],
-    }
     path = tmp_path / "datum.json"
-    path.write_text(json.dumps(datum), encoding="utf-8")
+    path.write_text(readme_datum(q=3), encoding="utf-8")
     code, out, _ = run_cli(["fibration", str(path), "--no-timestamp"])
     assert code == 1
     assert "hurwitz-degree: FAIL" in out
@@ -358,7 +365,7 @@ def test_fibration_missing_file():
 
 
 def test_fibration_overflowing_number_exit_2(tmp_path):
-    # 1e400 parses to inf, and int(inf) raises OverflowError
+    # 1e400 parses to the float inf, which is not a JSON integer
     path = tmp_path / "datum.json"
     path.write_text('{"p": 5, "q": 2, "points": '
                     '[{"class": "I", "kind": "tame", "R": 1e400}]}',
@@ -366,6 +373,28 @@ def test_fibration_overflowing_number_exit_2(tmp_path):
     code, out, err = run_cli(["fibration", str(path)])
     assert code == 2
     assert out == ""
+    assert err.count("\n") == 1 and "malformed fibration datum" in err
+
+
+@pytest.mark.parametrize("text", [
+    "[" * 100_000,
+    readme_datum({"kind": "foo"}),
+    readme_datum({"kind": "WILD", "j": 1}),
+    readme_datum({"j": 1}),
+    readme_datum(p=5.9),
+    readme_datum({"R": 1.7}),
+    readme_datum({"R": "1"}),
+    readme_datum({"R": True}),
+], ids=["nested", "kind-foo", "kind-WILD", "tame-j", "float-p", "float-R",
+        "string-R", "bool-R"])
+def test_fibration_malformed_datum_exit_2(tmp_path, text):
+    # json.loads raised RecursionError on the nested arrays, and the others
+    # loaded as the README example: an unknown kind as tame, a tame j
+    # ignored, and p, q, R through int()
+    path = tmp_path / "datum.json"
+    path.write_text(text, encoding="utf-8")
+    code, out, err = run_cli(["fibration", str(path)])
+    assert code == 2 and out == ""
     assert err.count("\n") == 1 and "malformed fibration datum" in err
 
 

@@ -200,6 +200,37 @@ def test_factor_against_sympy(p):
         assert u_factor(f) == (int(unit) % p, expected)
 
 
+@pytest.mark.parametrize("p", [0, 3, 5, 7])
+def test_squarefree_against_sympy(p):
+    # products of powers of random factors of degree <= 2; over F_p the
+    # exponents p, p + 1 and 2p force the p-th-root step of Yun's loop
+    sympy = pytest.importorskip("sympy")
+    x = sympy.Symbol("x")
+    fld = prime_field(p) if p else QQ
+    rng = random.Random(p)
+    exponents = (1, 2, 3) + ((p, p + 1, 2 * p) if p else (4,))
+    for _ in range(12):
+        f = UPoly.constant(fld, fld.one)
+        for _ in range(rng.randint(1, 3)):
+            if p:
+                g = _random_upoly(rng, fld, rng.randint(1, 2))
+            else:
+                coeffs = [Fraction(rng.randint(-4, 4), rng.randint(1, 3))
+                          for _ in range(rng.randint(1, 2))]
+                g = UPoly(fld, coeffs + [Fraction(rng.randint(1, 4))])
+            for _ in range(rng.choice(exponents)):
+                f = f * g
+        options = {"modulus": p} if p else {"domain": sympy.QQ}
+        coeffs = [sympy.Rational(c.numerator, c.denominator) for c in reversed(f.coeffs)]
+        _, parts = sympy.Poly(coeffs, x, **options).sqf_list()
+        expected = sorted(
+            ((UPoly(fld, [int(c) % p if p else Fraction(int(c.p), int(c.q))
+                          for c in reversed(g.all_coeffs())]), e)
+             for g, e in parts),
+            key=lambda ge: ge[1])
+        assert u_squarefree(f) == expected, f
+
+
 @pytest.mark.parametrize("p,k", [(3, 2), (5, 2), (7, 2), (3, 3), (5, 3), (3, 4)])
 def test_factor_over_extension_is_a_factorization(p, k):
     fld = extension_field(p, k)
@@ -280,7 +311,7 @@ def test_bivariate_squarefree_reassembly_and_coprimality(spec):
         # sequence rather than by the certificate that b_squarefree tries
         for g, _ in parts:
             common = g
-            for partial in (g.deriv_x(), g.deriv_t()):
+            for partial in g.partials():
                 if not partial.is_zero():
                     common = b_gcd(common, partial)
             assert common.is_constant(), (spec, g.fmt())
