@@ -19,7 +19,7 @@ from __future__ import annotations
 
 import json
 import random
-from dataclasses import dataclass
+from collections import namedtuple
 from fractions import Fraction
 from pathlib import Path
 
@@ -31,14 +31,14 @@ class InvalidDatumError(ValueError):
     pass
 
 
-@dataclass(frozen=True)
-class BranchPointDatum:
-    cls: SingularityClass
-    ramification: RamificationType
+class BranchPointDatum(namedtuple("BranchPointDatum", "cls ramification")):
+    __slots__ = ()
 
-    def __post_init__(self):
-        if self.cls is SingularityClass.I and self.ramification.R < 1:
+    # _cls as in namedtuple's own __new__, since cls names a field
+    def __new__(_cls, cls: SingularityClass, ramification: RamificationType):
+        if cls is SingularityClass.I and ramification.R < 1:
             raise ValueError("a class I point must be a ramification point")
+        return super().__new__(_cls, cls, ramification)
 
     @property
     def d_b(self) -> int:
@@ -51,17 +51,15 @@ class BranchPointDatum:
         return p * lam.j if lam.is_wild else lam.R + 1
 
 
-@dataclass(frozen=True)
-class FibrationDatum:
-    p: int
-    q: int
-    points: tuple[BranchPointDatum, ...]
+class FibrationDatum(namedtuple("FibrationDatum", "p q points")):
+    __slots__ = ()
 
-    def __post_init__(self):
-        if self.p < 5 or not is_prime(self.p):
+    def __new__(cls, p: int, q: int, points: tuple[BranchPointDatum, ...]):
+        if p < 5 or not is_prime(p):
             raise ValueError("fibration data need a prime p >= 5")
-        if self.q < 2:
+        if q < 2:
             raise ValueError("base genus q must be >= 2")
+        return super().__new__(cls, p, q, points)
 
 
 def alpha_of(datum: FibrationDatum) -> int:
@@ -73,9 +71,9 @@ def d_of(datum: FibrationDatum) -> int:
     return sum(pt.d_b for pt in datum.points)
 
 
-@dataclass(frozen=True)
-class ValidationReport:
-    checks: tuple[tuple[str, bool, str], ...]
+# checks: a tuple of (name, passed, detail)
+class ValidationReport(namedtuple("ValidationReport", "checks")):
+    __slots__ = ()
 
     @property
     def ok(self) -> bool:
@@ -146,11 +144,7 @@ def chi_smooth_model(datum: FibrationDatum) -> int:
     )
 
 
-@dataclass(frozen=True)
-class EvidenceResult:
-    chi: int
-    bound: Fraction
-    passed: bool
+EvidenceResult = namedtuple("EvidenceResult", "chi bound passed")
 
 
 def evidence_bound_check(datum: FibrationDatum) -> EvidenceResult:

@@ -9,7 +9,7 @@ genus of the shape (p^i + p^j - 2)/2.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from collections import namedtuple
 
 from .fields import is_prime
 
@@ -20,16 +20,18 @@ def require_odd_prime(p: int) -> None:
         raise ValueError("p must be an odd prime")
 
 
-@dataclass(frozen=True)
-class GenusChangeRecord:
-    p: int
-    g_upper: int  # arithmetic genus of the curve upstairs
-    g_lower: int  # genus of the normalized descent
+class GenusChangeRecord(namedtuple("GenusChangeRecord", [
+    "p",
+    "g_upper",  # arithmetic genus of the curve upstairs
+    "g_lower",  # genus of the normalized descent
+])):
+    __slots__ = ()
 
-    def __post_init__(self):
-        require_odd_prime(self.p)
-        if self.g_lower < 0 or self.g_upper < self.g_lower:
+    def __new__(cls, p: int, g_upper: int, g_lower: int):
+        require_odd_prime(p)
+        if g_lower < 0 or g_upper < g_lower:
             raise ValueError("need g_upper >= g_lower >= 0")
+        return super().__new__(cls, p, g_upper, g_lower)
 
     @property
     def drop(self) -> int:

@@ -11,23 +11,24 @@ integer or Fraction arithmetic.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from collections import namedtuple
 from fractions import Fraction
 
 from .fields import is_prime, primes_between
 
 
-@dataclass(frozen=True)
-class SurfaceInvariants:
+class SurfaceInvariants(namedtuple("SurfaceInvariants", [
+    "p",
+    "K2",
+    "c2",
+    "chi",
+    "q",  # base-curve genus of the fibration, if any
+    "g",  # fiber arithmetic genus, if any
+], defaults=(None, None))):
     """Numerical record of a surface; generators assert their own identities,
     plain records are checked explicitly via noether_check and friends."""
 
-    p: int
-    K2: int
-    c2: int
-    chi: int
-    q: int | None = None  # base-curve genus of the fibration, if any
-    g: int | None = None  # fiber arithmetic genus, if any
+    __slots__ = ()
 
 
 def noether_check(inv: SurfaceInvariants) -> bool:
@@ -67,11 +68,8 @@ def _proven_lower(p: int) -> Fraction | None:
     return Fraction(p - 7, 12 * (p - 3))
 
 
-@dataclass(frozen=True)
-class KappaReport:
-    p: int
-    conjectural: Fraction | None
-    proven_lower: Fraction | None
+class KappaReport(namedtuple("KappaReport", "p conjectural proven_lower")):
+    __slots__ = ()
 
     @property
     def note(self) -> str:
@@ -113,12 +111,13 @@ def raynaud_invariants(p: int, l: int) -> SurfaceInvariants:
     return inv
 
 
-@dataclass(frozen=True)
-class Char3Example:
-    n: int
-    q: int
-    m: int
-    c2_upper: int  # -4(q-1) + 3m
+class Char3Example(namedtuple("Char3Example", [
+    "n",
+    "q",
+    "m",
+    "c2_upper",  # -4(q-1) + 3m
+])):
+    __slots__ = ()
 
     @property
     def ratio(self) -> Fraction:
@@ -142,12 +141,7 @@ def char3_example(n: int) -> Char3Example:
     return Char3Example(n=n, q=q_minus_1 + 1, m=m, c2_upper=-4 * q_minus_1 + 3 * m)
 
 
-@dataclass(frozen=True)
-class SlackReport:
-    applicable: bool
-    passed: bool | None
-    threshold: Fraction | None
-    slack: Fraction | None
+SlackReport = namedtuple("SlackReport", "applicable passed threshold slack")
 
 
 def sb_lower_bound_check(inv: SurfaceInvariants) -> SlackReport:

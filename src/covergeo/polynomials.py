@@ -173,9 +173,6 @@ class BPoly:
     def sorted_terms(self):
         return sorted(self.terms.items(), key=lambda ec: (-ec[0][0], -ec[0][1]))
 
-    def sort_key(self):
-        return tuple(sorted(self.terms.items()))
-
     def fmt(self) -> str:
         if not self.terms:
             return "0"

@@ -13,7 +13,6 @@ friendly variant of the same content.
 from __future__ import annotations
 
 import hashlib
-from datetime import datetime, timezone
 from fractions import Fraction
 
 from .fields import fmt_fraction
@@ -52,11 +51,12 @@ class Report:
 
     def render(self, fmt: str, timestamp: bool) -> str:
         """The report as text; with timestamp, a line stamps the render time."""
-        stamp = (
-            datetime.now(timezone.utc).strftime("%Y-%m-%dT%H:%M:%SZ")
-            if timestamp
-            else None
-        )
+        stamp = None
+        if timestamp:
+            # imported here: a run without a timestamp never needs datetime
+            from datetime import datetime, timezone
+
+            stamp = datetime.now(timezone.utc).strftime("%Y-%m-%dT%H:%M:%SZ")
         if fmt == "records":
             return self._render_records(stamp)
         if fmt == "table":

@@ -23,7 +23,7 @@ require number-field arithmetic and raise ``IrrationalPointError`` instead.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from collections import namedtuple
 
 from .fields import (
     DEFAULT_DEPTH_LIMIT,
@@ -49,15 +49,15 @@ NEGLIGIBLE_SECOND = "second_kind"
 NOT_NEGLIGIBLE = "not_negligible"
 
 
-@dataclass(frozen=True)
-class BranchGerm:
+class BranchGerm(namedtuple("BranchGerm", "poly")):
     """A nonzero branch equation in the local variables (x, t)."""
 
-    poly: BPoly
+    __slots__ = ()
 
-    def __post_init__(self):
-        if self.poly.is_zero():
+    def __new__(cls, poly: BPoly):
+        if poly.is_zero():
             raise ValueError("branch germ must be a nonzero polynomial")
+        return super().__new__(cls, poly)
 
     @property
     def field(self):
@@ -86,36 +86,22 @@ def normalize_branch(germ: BranchGerm) -> tuple[BranchGerm, BranchGerm]:
     return BranchGerm(one if b1 is None else b1), BranchGerm(one if b0 is None else b0)
 
 
-@dataclass(frozen=True)
-class BlowupChart:
-    name: str  # "x" (x = x, t = x*t) or "t" (x = x*t, t = t)
-    strict: BPoly
-    branch: BPoly
+# name: "x" (x = x, t = x*t) or "t" (x = x*t, t = t); strict, branch: BPoly
+BlowupChart = namedtuple("BlowupChart", "name strict branch")
+
+SingularSite = namedtuple("SingularSite", [
+    "chart",
+    "location",  # printed coordinate of the center on the exceptional line
+    "germ",  # branch re-centered at the point (field may be larger)
+    "copies",  # number of conjugate points this representative stands for
+])
+
+# charts: (chart "x", chart "t"); singular_sites: a tuple of SingularSite
+BlowupResult = namedtuple("BlowupResult", "multiplicity half charts singular_sites")
 
 
-@dataclass(frozen=True)
-class SingularSite:
-    chart: str
-    location: str  # printed coordinate of the center on the exceptional line
-    germ: BranchGerm  # branch re-centered at the point (field may be larger)
-    copies: int  # number of conjugate points this representative stands for
-
-
-@dataclass(frozen=True)
-class BlowupResult:
-    multiplicity: int
-    half: int
-    charts: tuple[BlowupChart, BlowupChart]
-    singular_sites: tuple[SingularSite, ...]
-
-
-@dataclass(frozen=True)
-class BlowupStep:
-    index: int
-    center: str
-    multiplicity: int
-    half: int
-    copies: int
+class BlowupStep(namedtuple("BlowupStep", "index center multiplicity half copies")):
+    __slots__ = ()
 
     @property
     def chi_drop_each(self) -> int:
@@ -126,17 +112,18 @@ class BlowupStep:
         return 2 * (self.half - 1) ** 2
 
 
-@dataclass(frozen=True)
-class ResolutionTrace:
-    field_name: str
-    input_equation: str
-    reduced_equation: str
-    even_part_equation: str
-    steps: tuple[BlowupStep, ...]
-    xi: int
-    chi_defect: int  # = -xi
-    k2_defect: int  # = sum of 2(l-1)^2 over all blow-ups
-    negligible: str
+class ResolutionTrace(namedtuple("ResolutionTrace", [
+    "field_name",
+    "input_equation",
+    "reduced_equation",
+    "even_part_equation",
+    "steps",  # tuple of BlowupStep
+    "xi",
+    "chi_defect",  # = -xi
+    "k2_defect",  # = sum of 2(l-1)^2 over all blow-ups
+    "negligible",
+])):
+    __slots__ = ()
 
     def recompute_totals(self) -> tuple[int, int]:
         xi = sum(s.copies * s.chi_drop_each for s in self.steps)

@@ -23,7 +23,7 @@ from __future__ import annotations
 
 import enum
 import math
-from dataclasses import dataclass
+from collections import namedtuple
 from fractions import Fraction
 
 from .fields import is_prime
@@ -57,8 +57,11 @@ _CLASS_EXPONENTS = {
 }
 
 
-@dataclass(frozen=True)
-class RamificationType:
+class RamificationType(namedtuple("RamificationType", [
+    "kind",  # "tame" | "wild"
+    "R",
+    "j",
+])):
     """Local ramification descriptor: tame {R} or wild {p*j, R}.
 
     R is the length of the relative-differentials stalk.  Tame data must
@@ -66,20 +69,19 @@ class RamificationType:
     carry j >= 1 with valuation p*j and must satisfy R >= p*j.
     """
 
-    kind: str  # "tame" | "wild"
-    R: int
-    j: int | None = None
+    __slots__ = ()
 
-    def __post_init__(self):
-        if self.kind not in ("tame", "wild"):
-            raise ValueError(f"unknown ramification kind {self.kind!r}")
-        if self.R < 0:
+    def __new__(cls, kind: str, R: int, j: int | None = None):
+        if kind not in ("tame", "wild"):
+            raise ValueError(f"unknown ramification kind {kind!r}")
+        if R < 0:
             raise ValueError("ramification index must be non-negative")
-        if self.kind == "wild":
-            if self.j is None or self.j < 1:
+        if kind == "wild":
+            if j is None or j < 1:
                 raise ValueError("wild ramification needs j >= 1")
-        elif self.j is not None:
+        elif j is not None:
             raise ValueError("tame ramification carries no j")
+        return super().__new__(cls, kind, R, j)
 
     @classmethod
     def tame(cls, R: int) -> "RamificationType":
