@@ -113,24 +113,25 @@ def cmd_resolve(args) -> Report:
         raise ValueError(f"--depth-limit must be >= 0, got {args.depth_limit}")
     field = parse_field_spec(args.field)
     poly = parse_polynomial(args.germ, field)
+    equation = poly.fmt()
     report = Report(
         f"resolve {args.germ!r} --field {args.field}",
-        f"resolve|{poly.fmt()}|{field.name}|{args.depth_limit}",
+        f"resolve|{equation}|{field.name}|{args.depth_limit}",
     )
     trace = canonical_resolution(
         BranchGerm(poly), depth_limit=args.depth_limit
     )
-    report.add("germ", "input", trace.input_equation)
-    report.add("germ", "field", trace.field_name)
-    report.add("germ", "reduced-part", trace.reduced_equation)
-    report.add("germ", "even-part", trace.even_part_equation)
+    report.add("germ", "input", equation)
+    report.add("germ", "field", field.name)
+    report.add("germ", "reduced-part", trace.reduced.poly.fmt())
+    report.add("germ", "even-part", trace.even_part.poly.fmt())
     report.add("germ", "negligible", trace.negligible)
     report.add("columns", "step", "m", "l", "copies", "center")
     for step in trace.steps:
         report.add("step", step.index, step.multiplicity, step.half,
                    step.copies, step.center)
     report.add("total", "xi", trace.xi)
-    report.add("total", "chi-drop", -trace.chi_defect)
+    report.add("total", "chi-drop", trace.xi)
     report.add("total", "K2-drop", trace.k2_defect)
     recomputed = trace.recompute_totals()
     report.check("trace-consistency",

@@ -141,18 +141,6 @@ def char3_example(n: int) -> Char3Example:
     return Char3Example(n=n, q=q_minus_1 + 1, m=m, c2_upper=-4 * q_minus_1 + 3 * m)
 
 
-SlackReport = namedtuple("SlackReport", "applicable passed threshold slack")
-
-
-def sb_lower_bound_check(inv: SurfaceInvariants) -> SlackReport:
-    """K^2 > 4(g-1)(q-1)/3, applicable for p >= 3 and fiber genus g >= 3."""
-    if inv.g is None or inv.q is None or inv.g < 3 or inv.p < 3:
-        return SlackReport(False, None, None, None)
-    threshold = Fraction(4 * (inv.g - 1) * (inv.q - 1), 3)
-    slack = inv.K2 - threshold
-    return SlackReport(True, slack > 0, threshold, slack)
-
-
 # largest p_max of kappa_table: the table up to it has 17,983 rows and
 # takes about 0.5 s to build and print
 MAX_KAPPA_P = 200_000

@@ -63,9 +63,6 @@ class BranchGerm(namedtuple("BranchGerm", "poly")):
     def field(self):
         return self.poly.field
 
-    def fmt(self) -> str:
-        return self.poly.fmt()
-
 
 def normalize_branch(germ: BranchGerm) -> tuple[BranchGerm, BranchGerm]:
     """Split div(f) = B1 + 2*B0 with B1 reduced: returns (B1, B0).
@@ -113,13 +110,10 @@ class BlowupStep(namedtuple("BlowupStep", "index center multiplicity half copies
 
 
 class ResolutionTrace(namedtuple("ResolutionTrace", [
-    "field_name",
-    "input_equation",
-    "reduced_equation",
-    "even_part_equation",
+    "reduced",  # BranchGerm B1 of normalize_branch
+    "even_part",  # BranchGerm B0 of normalize_branch
     "steps",  # tuple of BlowupStep
-    "xi",
-    "chi_defect",  # = -xi
+    "xi",  # = the chi drop, sum of (l^2 - l)/2 over all blow-ups
     "k2_defect",  # = sum of 2(l-1)^2 over all blow-ups
     "negligible",
 ])):
@@ -275,6 +269,14 @@ def _sites_on_exceptional(strict_x: BPoly, branch_x: BPoly, strict_t: BPoly,
     return sites, ends
 
 
+# A germ of multiplicity m is a union of m smooth branches iff it has m
+# formal branches.  The walk counts them at their ends: each branch passes
+# through a chain of blown-up points and leaves the last exceptional line it
+# meets at a point that is not blown up, where the branch divisor is regular
+# and so carries that branch alone.  The flags on each stack entry mark the
+# exceptional lines through its point; no end on them is counted, which keeps
+# the exceptional lines of the branch divisor out of the count.
+
 def canonical_resolution(germ: BranchGerm, *,
                          depth_limit: int = DEFAULT_DEPTH_LIMIT) -> ResolutionTrace:
     """Resolve the branch germ at the origin and collect the invariants.
@@ -290,59 +292,15 @@ def canonical_resolution(germ: BranchGerm, *,
     (ResolutionDepthError beyond).  A singular point that needs F_{p^k} with
     k > MAX_EXTENSION_DEGREE raises ExtensionDegreeError, naming the centre
     blown up; regular points need no field.  The negligible class is read
-    off the same walk.
+    off the same walk.  The trace holds germs and numbers; nothing here
+    formats a polynomial.
     """
     b1, b0 = normalize_branch(germ)
-    steps, negligible = _resolve(b1, depth_limit)
-    xi = sum(s.copies * s.chi_drop_each for s in steps)
-    k2 = sum(s.copies * s.k2_drop_each for s in steps)
-    return ResolutionTrace(
-        field_name=germ.field.name,
-        input_equation=germ.fmt(),
-        reduced_equation=b1.fmt(),
-        even_part_equation=b0.fmt(),
-        steps=tuple(steps),
-        xi=xi,
-        chi_defect=-xi,
-        k2_defect=k2,
-        negligible=negligible,
-    )
-
-
-def is_negligible(germ: BranchGerm, *, depth_limit: int = DEFAULT_DEPTH_LIMIT) -> str:
-    """Classify the germ: union of two smooth branches (first kind), union of
-    three smooth branches not all mutually tangent (second kind), or neither.
-
-    The germ must be reduced; this is checked here (ValueError otherwise).
-    A germ of multiplicity 2 or 3 is resolved as by ``canonical_resolution``
-    and raises what that raises: ResolutionDepthError beyond ``depth_limit``
-    blow-ups, and IrrationalPointError over Q for a germ of multiplicity 3
-    with irrational tangents.
-    """
-    _require_reduced(germ.poly)
-    if germ.poly.total_valuation() not in (2, 3):
-        return NOT_NEGLIGIBLE
-    return _resolve(germ, depth_limit)[1]
-
-
-# A germ of multiplicity m is a union of m smooth branches iff it has m
-# formal branches.  The walk counts them at their ends: each branch passes
-# through a chain of blown-up points and leaves the last exceptional line it
-# meets at a point that is not blown up, where the branch divisor is regular
-# and so carries that branch alone.  The flags on each stack entry mark the
-# exceptional lines through its point; no end on them is counted, which keeps
-# the exceptional lines of the branch divisor out of the count.
-
-def _resolve(b1: BranchGerm, depth_limit: int) -> tuple[list[BlowupStep], str]:
-    """Blow up the reduced germ ``b1`` until its branch is regular above the
-    origin; returns the steps and the negligible class."""
     m = b1.poly.total_valuation()
     steps: list[BlowupStep] = []
-    if m < 2:
-        return steps, NOT_NEGLIGIBLE
     branches = directions = 0
     # (germ, centre, copies, flags), flags as in _sites_on_exceptional
-    stack = [(b1, "origin", 1, (False, False))]
+    stack = [(b1, "origin", 1, (False, False))] if m >= 2 else []
     while stack:
         current, center, copies, flags = stack.pop()
         if len(steps) >= depth_limit:
@@ -370,7 +328,32 @@ def _resolve(b1: BranchGerm, depth_limit: int) -> tuple[list[BlowupStep], str]:
             label = f"{center} -> chart {site.chart} @ {site.location}"
             stack.append((site.germ, label, copies * site.copies, site_flags))
     if m == 2 and branches == 2:
-        return steps, NEGLIGIBLE_FIRST
-    if m == 3 and branches == 3 and directions >= 2:
-        return steps, NEGLIGIBLE_SECOND
-    return steps, NOT_NEGLIGIBLE
+        negligible = NEGLIGIBLE_FIRST
+    elif m == 3 and branches == 3 and directions >= 2:
+        negligible = NEGLIGIBLE_SECOND
+    else:
+        negligible = NOT_NEGLIGIBLE
+    return ResolutionTrace(
+        reduced=b1,
+        even_part=b0,
+        steps=tuple(steps),
+        xi=sum(s.copies * s.chi_drop_each for s in steps),
+        k2_defect=sum(s.copies * s.k2_drop_each for s in steps),
+        negligible=negligible,
+    )
+
+
+def is_negligible(germ: BranchGerm, *, depth_limit: int = DEFAULT_DEPTH_LIMIT) -> str:
+    """Classify the germ: union of two smooth branches (first kind), union of
+    three smooth branches not all mutually tangent (second kind), or neither.
+
+    The germ must be reduced; this is checked here (ValueError otherwise).
+    A germ of multiplicity 2 or 3 is resolved by ``canonical_resolution``
+    and raises what that raises: ResolutionDepthError beyond ``depth_limit``
+    blow-ups, and IrrationalPointError over Q for a germ of multiplicity 3
+    with irrational tangents.
+    """
+    _require_reduced(germ.poly)
+    if germ.poly.total_valuation() not in (2, 3):
+        return NOT_NEGLIGIBLE
+    return canonical_resolution(germ, depth_limit=depth_limit).negligible

@@ -35,3 +35,12 @@ def test_field_bench_names_exist():
     assert callable(fpk.mul) and callable(fpk.decode)
     assert fpk.inv.__name__ == "inv"
     assert fpk.mul(fpk.decode(14), fpk.inv(fpk.decode(14))) == fpk.one
+
+
+def test_trace_fields_the_benchmark_reads():
+    # the benchmark checks answers by these fields and counts F_{p^k} sites
+    # by step copies; a rename would fail every benchmark operation
+    from covergeo.resolution import BlowupStep, ResolutionTrace
+
+    assert {"xi", "k2_defect", "negligible", "steps"} <= set(ResolutionTrace._fields)
+    assert "copies" in BlowupStep._fields

@@ -12,7 +12,6 @@ from covergeo.geography import (
     kappa_table,
     noether_check,
     raynaud_invariants,
-    sb_lower_bound_check,
 )
 
 CHAR2_REFERENCE = SurfaceInvariants(p=2, K2=14, c2=-2, chi=1)
@@ -104,16 +103,3 @@ def test_char3_ratio_tends_to_minus_four():
     assert ratios == sorted(ratios, reverse=True)  # decreasing toward -4
     assert abs(ratios[4] + 4) < Fraction(1, 10)  # n = 6
 
-
-def test_sb_lower_bound():
-    report = sb_lower_bound_check(raynaud_invariants(7, 8))
-    assert report.applicable and report.passed
-    assert report.threshold == Fraction(224, 3)
-    report = sb_lower_bound_check(
-        SurfaceInvariants(p=5, K2=8, c2=0, chi=0, q=4, g=3)
-    )
-    assert report.applicable and not report.passed  # 8 > 8 fails
-    report = sb_lower_bound_check(
-        SurfaceInvariants(p=5, K2=8, c2=0, chi=0, q=4, g=2)
-    )
-    assert not report.applicable

@@ -12,6 +12,7 @@ from covergeo.parsing import parse_polynomial
 from covergeo.polynomials import BPoly
 
 POLY = parse_polynomial("x^3 - t^2", QQ)
+ONE = BPoly.constant(QQ, QQ.one)
 TAME = xi.RamificationType("tame", 1)
 POINT = fibration.BranchPointDatum(xi.SingularityClass.III, TAME)
 STEP_VALUES = dict(index=1, center="O", multiplicity=2, half=1, copies=1)
@@ -27,9 +28,8 @@ RECORDS = [
      dict(multiplicity=2, half=1, charts=(), singular_sites=())),
     (resolution.BlowupStep, STEP_VALUES),
     (resolution.ResolutionTrace,
-     dict(field_name="Q", input_equation="x^2 - t^2", reduced_equation="x^2 - t^2",
-          even_part_equation="1", steps=(STEP,), xi=0, chi_defect=0, k2_defect=2,
-          negligible=resolution.NEGLIGIBLE_FIRST)),
+     dict(reduced=resolution.BranchGerm(POLY), even_part=resolution.BranchGerm(ONE),
+          steps=(STEP,), xi=0, k2_defect=2, negligible=resolution.NEGLIGIBLE_FIRST)),
     (fibration.BranchPointDatum,
      dict(cls=xi.SingularityClass.I, ramification=TAME)),
     (fibration.FibrationDatum, dict(p=5, q=2, points=(POINT,))),
@@ -39,8 +39,6 @@ RECORDS = [
     (geography.KappaReport,
      dict(p=5, conjectural=Fraction(1, 24), proven_lower=Fraction(1, 32))),
     (geography.Char3Example, dict(n=2, q=41, m=8, c2_upper=-136)),
-    (geography.SlackReport,
-     dict(applicable=True, passed=True, threshold=Fraction(4, 3), slack=Fraction(2, 3))),
     (genus.GenusChangeRecord, dict(p=5, g_upper=2, g_lower=0)),
     (xi.RamificationType, dict(kind="wild", R=5, j=1)),
 ]

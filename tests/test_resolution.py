@@ -63,20 +63,20 @@ def test_multiplicity_zero_equation():
 
 def test_normalize_monomial_parity():
     b1, b0 = normalize_branch(germ("x^2*t^3"))
-    assert b1.fmt() == "t"
-    assert b0.fmt() == "x*t"
+    assert b1.poly.fmt() == "t"
+    assert b0.poly.fmt() == "x*t"
 
 
 def test_normalize_squarefree_input():
     b1, b0 = normalize_branch(germ("x^5 - t^4", "F5"))
-    assert b1.fmt() == "x^5 + 4*t^4"
+    assert b1.poly.fmt() == "x^5 + 4*t^4"
     assert b0.poly.is_constant()
 
 
 def test_normalize_mixed():
     b1, b0 = normalize_branch(germ("(x-t)^2*(x+t)", "F7"))
-    assert b1.fmt() == "x + t"
-    assert b0.fmt() == "x + 6*t"
+    assert b1.poly.fmt() == "x + t"
+    assert b0.poly.fmt() == "x + 6*t"
 
 
 @pytest.mark.parametrize("spec", ["Q", "F5", "F3^2"])
@@ -152,7 +152,6 @@ def test_resolution_cusp():
     assert trace.xi == 0
     assert trace.k2_defect == 0
     assert [(s.multiplicity, s.half) for s in trace.steps] == [(2, 1)]
-    assert trace.chi_defect == 0
 
 
 def test_resolution_quartic():
@@ -160,7 +159,6 @@ def test_resolution_quartic():
     assert trace.xi == 1
     assert trace.k2_defect == 2
     assert [(s.multiplicity, s.half) for s in trace.steps] == [(4, 2)]
-    assert trace.chi_defect == -1
 
 
 def test_resolution_negligible_germs():
@@ -176,8 +174,8 @@ def test_resolution_normalizes_first():
     trace = canonical_resolution(germ("x^5 - t^5", "F5"))
     assert trace.steps == ()
     assert trace.xi == 0
-    assert trace.reduced_equation == "x + 4*t"
-    assert trace.even_part_equation == "x^2 + 3*x*t + t^2"
+    assert trace.reduced.poly.fmt() == "x + 4*t"
+    assert trace.even_part.poly.fmt() == "x^2 + 3*x*t + t^2"
 
 
 def test_resolution_depth_guard():
@@ -239,6 +237,8 @@ def test_resolution_irrational_over_q():
                        "field, extensions of Q are not supported$"):
         canonical_resolution(germ("(x^2 - 2*t^2)^2 + x^5"))
     assert canonical_resolution(germ("(x^2 - 2*t^2)^2 + x^5", "F5")).xi == 1
+    # multiplicity 4 is never negligible: decided before any blow-up
+    assert is_negligible(germ("(x^2 - 2*t^2)^2 + x^5")) == NOT_NEGLIGIBLE
 
 
 def test_is_negligible_raises_what_resolution_raises():
@@ -301,10 +301,28 @@ def test_resolution_extension_of_extension():
     assert is_negligible(g) == NEGLIGIBLE_SECOND
 
 
+def test_resolution_formats_no_polynomial(monkeypatch):
+    # the resolve goldens' germs and two with conjugate or even parts: the
+    # trace keeps germs, and the report formats them
+    germs = [germ(expr, spec) for expr, spec in [
+        ("x^3 - t^2", "Q"), ("x^5 - t^4", "Q"), ("x*t", "Q"),
+        ("x*t*(x-t)", "Q"), ("x^5 - t^4", "F5"),
+        ("(x^2-2*t^2)^2*x + t^7", "F5"), ("t*(x^4 - 2*t^4)", "F5"),
+        ("x^5 - t^5", "F5"),
+    ]]
+    expected = [canonical_resolution(g) for g in germs]
+
+    def no_fmt(self):
+        raise AssertionError("the resolution engine formatted a polynomial")
+
+    monkeypatch.setattr(BPoly, "fmt", no_fmt)
+    assert [canonical_resolution(g) for g in germs] == expected
+    assert [is_negligible(tr.reduced) for tr in expected] == [tr.negligible for tr in expected]
+
+
 def test_trace_totals_recompute():
     trace = canonical_resolution(germ("x*t*(x^3-t^2)", "F7"))
     assert trace.recompute_totals() == (trace.xi, trace.k2_defect)
-    assert trace.chi_defect == -trace.xi
 
 
 # -- negligible classification ----------------------------------------------
@@ -401,7 +419,7 @@ def _walk_sites(germ_, depth):
     assert depth < 64
     seen = 0
     for site in blowup_once(germ_).singular_sites:
-        assert _is_reduced(site.germ.poly), (germ_.fmt(), site.location)
+        assert _is_reduced(site.germ.poly), (germ_.poly.fmt(), site.location)
         seen += 1 + _walk_sites(site.germ, depth + 1)
     return seen
 
@@ -452,7 +470,7 @@ def test_blowup_charts_match_substitution(spec):
         germs += 1
         parities.add(b1.poly.total_valuation() % 2)
         charts = blowup_once(b1).charts
-        assert [(c.strict, c.branch) for c in charts] == _chart_reference(b1.poly), b1.fmt()
+        assert [(c.strict, c.branch) for c in charts] == _chart_reference(b1.poly), b1.poly.fmt()
     assert parities == {0, 1}
 
 
