@@ -325,7 +325,7 @@ def cmd_genus(args) -> Report:
                        gen.rational_curve_torsion(args.g, args.p))
         except ValueError as exc:
             report.add("rational-curve", "torsion-degree", f"n/a ({exc})")
-    if args.tower:
+    if args.tower is not None:
         genera = [int(v) for v in args.tower.split(",")]
         report.check("tower-drops-shrink",
                      gen.tower_monotonicity(genera, args.p),

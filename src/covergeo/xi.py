@@ -1,22 +1,19 @@
 """Closed-form singularity invariants for double-cover branch germs.
 
-Two families are covered.
+``xi_family`` evaluates the Euclidean-descent recursion on (m, n) for the
+monomial family x^a t^b (x^m - t^n), with a, b in {0, 1} and m, n coprime;
+``xi_bound_family`` is its closed upper bound, valid for odd m.
 
-* The monomial family x^a t^b (x^m - t^n) with a, b in {0, 1} and m, n
-  coprime: ``xi_family`` evaluates the Euclidean-descent recursion on
-  (m, n) and ``xi_bound_family`` the closed upper bound valid for odd m.
-
-* The four local shapes arising on a hyperelliptic fibration's branch
-  divisor (classes I-IV), parametrized by the ramification data of the
-  defining function: ``xi_type`` sums the degree-p recursion's layers in
-  closed form.  Writing l = (p-1)/2 or (p+1)/2, each layer contributes
-  (p-1)(p-3)/8 (class I) or (p-1)(p+1)/8 (classes II-IV), the class
-  swapping I <-> II, staying at III/IV while the valuation stays above p,
-  and dropping III -> I, IV -> II at valuation exactly p.  The tame base
-  with R < p reduces to ``xi_family(a, b, p, R + 1)``.
-
-``xi_inequality_slack`` returns the left-minus-right value of the matching
-per-class linear bound; it is non-negative for every admissible input.
+The four local shapes on a hyperelliptic fibration's branch divisor
+(classes I-IV), parametrized by the ramification data of the defining
+function, reduce to this family at m = p.  With (a, b) the class's
+``branch_exponents``, a point with tame data R, or with wild data away from a
+pole, is the germ x^a t^b (x^p - t^(R+1)).  A wild pole (class III or IV with
+wild j) is j layers, each adding (p^2 - 1)/8, over x^0 t^b (x^p - t^n) with
+n = R - p*j + 1.  ``xi_type`` adds the layers to ``xi_family`` of that germ.
+The layers add (p^2 - 1)/8 to the per-class linear bound as well, so
+``xi_inequality_slack``, the bound minus xi, is ``xi_bound_family`` minus
+``xi_family`` of the same germ; it is non-negative for every admissible input.
 """
 
 from __future__ import annotations
@@ -30,6 +27,13 @@ from .fields import is_prime
 
 
 class SingularityClass(enum.Enum):
+    """Class of a branch point on a hyperelliptic fibration.
+
+    (a, b) = ``branch_exponents`` are the exponents of its local shape
+    x^a t^b (x^p - t^(R+1)): a = 1 at a pole (III, IV) and b = 1 on a
+    vertical component (II, IV).
+    """
+
     I = "I"
     II = "II"
     III = "III"
@@ -168,77 +172,39 @@ def xi_bound_family(a: int, b: int, m: int, n: int) -> Fraction:
         raise ValueError("the bound requires odd m")
     if m < 1 or n < 1 or math.gcd(m, n) != 1:
         raise ValueError("m, n must be positive and coprime")
-    return (
-        Fraction((m - 1) ** 2 * (n - 1), 8 * m)
-        + Fraction((m - 1) * n * a, 4 * m)
-        + Fraction((m - 1) * b, 4)
-    )
+    return Fraction((m - 1) * ((m - 1) * (n - 1) + 2 * n * a + 2 * m * b), 8 * m)
 
 
-def _validate_p(p: int) -> None:
+def _family_form(cls: SingularityClass, lam: RamificationType,
+                 p: int) -> tuple[int, int, int, int]:
+    # (layers, a, b, n): the point is `layers` wild layers, each adding
+    # (p^2 - 1)/8 to xi and to its bound, over the germ x^a t^b (x^p - t^n)
     if p < 5 or not is_prime(p):
         raise ValueError("class I-IV invariants need a prime p >= 5")
-
-
-def xi_type(cls: SingularityClass, lam: RamificationType, p: int) -> int:
-    """Invariant of a class I-IV branch point with ramification data lam."""
-    _validate_p(p)
     lam.check(p)
     if cls is SingularityClass.I and lam.R < 1:
         # the class-I shape is singular only where the function ramifies
         raise ValueError("class I requires R >= 1")
-    inc_light = (p - 1) * (p - 3) // 8
-    inc_heavy = (p - 1) * (p + 1) // 8
-    assert (p - 1) * (p - 3) % 8 == 0 and (p - 1) * (p + 1) % 8 == 0
-    total = 0
-    cur = cls
-    R = lam.R
-    if cls.counts_as_pole:
-        # each layer adds inc_heavy and takes p off R: a wild point stays in
-        # class for j - 1 layers (valuation p*j > p) and drops out of the
-        # pole at the j-th (valuation exactly p); a tame one stays in class
-        # while its valuation R + 1 exceeds p
-        layers = lam.j if lam.is_wild else R // p
-        total += layers * inc_heavy
-        R -= layers * p
-        if lam.is_wild:
-            cur = SingularityClass.I if cls is SingularityClass.III else SingularityClass.II
-    if cur in (SingularityClass.I, SingularityClass.II):
-        # while R >= p, each layer takes p off R and swaps I <-> II, adding
-        # inc_light from class I and inc_heavy from class II
-        layers, R = divmod(R, p)
-        first, second = (
-            (inc_light, inc_heavy) if cur is SingularityClass.I else (inc_heavy, inc_light)
-        )
-        total += (layers + 1) // 2 * first + layers // 2 * second
-        if layers % 2:
-            cur = SingularityClass.II if cur is SingularityClass.I else SingularityClass.I
-    if (R + 1) % p == 0:
+    if (lam.R + 1) % p == 0:
         raise ValueError(
             "inconsistent ramification data: residual index R = -1 mod p "
             "is not realized by any local function"
         )
-    a, b = cur.branch_exponents
-    return total + xi_family(a, b, p, R + 1)
+    a, b = cls.branch_exponents
+    if cls.counts_as_pole and lam.is_wild:
+        # the j layers of valuation p*j, ..., p leave the pole behind
+        return lam.j, 0, b, lam.R - p * lam.j + 1
+    return 0, a, b, lam.R + 1
+
+
+def xi_type(cls: SingularityClass, lam: RamificationType, p: int) -> int:
+    """Invariant of a class I-IV branch point with ramification data lam."""
+    layers, a, b, n = _family_form(cls, lam, p)
+    return layers * (p * p - 1) // 8 + xi_family(a, b, p, n)
 
 
 def xi_inequality_slack(cls: SingularityClass, lam: RamificationType,
                         p: int) -> Fraction:
     """Left-minus-right value of the per-class linear bound on xi_type."""
-    xi = xi_type(cls, lam, p)
-    R = lam.R
-    if cls is SingularityClass.I:
-        return Fraction((p - 1) ** 2 * R, 8 * p) - xi
-    if cls is SingularityClass.II:
-        return Fraction((p - 1) ** 2 * R, 8 * p) + Fraction(p - 1, 4) - xi
-    if lam.is_wild:
-        slack = Fraction((p - 1) ** 2 * R, 8 * p) - xi + Fraction((p - 1) * lam.j, 4)
-    else:
-        slack = (
-            Fraction((p - 1) * (p + 1) * R, 8 * p)
-            - xi
-            + Fraction(p - 1, 4 * p)
-        )
-    if cls is SingularityClass.IV:
-        slack += Fraction(p - 1, 4)
-    return slack
+    _, a, b, n = _family_form(cls, lam, p)
+    return xi_bound_family(a, b, p, n) - xi_family(a, b, p, n)

@@ -223,6 +223,9 @@ def test_usage_error_exit_2():
     (["verify", "nosuch"],
      "covergeo verify: unknown suite 'nosuch'; pick from oracle, app1, evidence, "
      "raynaud, xi-ineq, kappa, genus or all"),
+    # an empty tower is checked too, not skipped
+    (["genus", "--p", "5", "--tower", ""],
+     "covergeo genus: invalid literal for int() with base 10: ''"),
 ])
 def test_usage_errors_one_line(argv, message):
     # within 2 s: F3^200 used to search for its modulus for minutes
@@ -248,6 +251,16 @@ def test_resolve_goldens(name, argv):
     assert code == 0
     golden = (GOLDEN_DIR / f"{name}.records").read_text(encoding="utf-8")
     assert out == golden
+
+
+def test_xi_type_golden():
+    # each class with tame and with wild data, the wild pole reduced by layers
+    out = "".join(
+        run_cli(["xi", "--type", cls, *data, "--p", "7",
+                 "--no-timestamp", "--format", "records"])[1]
+        for cls in ("I", "II", "III", "IV")
+        for data in (["--tame", "R=9"], ["--wild", "j=2", "R=16"]))
+    assert out == (GOLDEN_DIR / "xi_types.records").read_text(encoding="utf-8")
 
 
 def test_golden_xis_are_expected():

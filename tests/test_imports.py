@@ -25,6 +25,7 @@ CLOSED_FORM_ARGVS = [
     ["char3", "--n", "3"],
     ["genus", "--p", "5", "--upper", "2", "--g", "2"],
     ["xi", "--family", "1", "1", "3", "2"],
+    ["xi", "--type", "III", "--wild", "j=1", "R=5", "--p", "5"],
     ["verify", "app1"],
     ["verify", "raynaud"],
     ["verify", "xi-ineq"],

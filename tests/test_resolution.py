@@ -30,7 +30,7 @@ from covergeo.resolution import (
     is_negligible,
     normalize_branch,
 )
-from covergeo.xi import xi_family
+from covergeo.xi import RamificationType, SingularityClass, xi_family, xi_type
 
 
 def germ(expr, spec="Q"):
@@ -275,6 +275,34 @@ def test_resolution_wild_branch():
     # x*(x^5 - (t^5 + t^6)) over F_5: wild pole shape with j=1, R=5
     trace = canonical_resolution(germ("x*(x^5 - t^5 - t^6)", "F5"))
     assert trace.xi == 3
+
+
+def test_class_types_match_the_engine_in_char_p():
+    # xi_type against the blow-ups over F_p.  A class with branch exponents
+    # (a, b) and tame data R is the germ x^a t^b (x^p - t^(R+1)).  For wild
+    # data the germ is (x + t^j)^a t^b (x^p - t^(R+1)): a model that the
+    # recursion agrees with, not a normal form quoted from the paper
+    cases = 0
+    for p in (5, 7):
+        field = prime_field(p)
+        data = [RamificationType.tame(R) for R in range(1, 3 * p + 1)] + [
+            RamificationType.wild(j, R)
+            for j in (1, 2, 3) for R in range(p * j, p * j + 2 * p + 1)]
+        for cls in SingularityClass:
+            a, b = cls.branch_exponents
+            for lam in data:
+                if (lam.R + 1) % p == 0:
+                    continue  # xi_type rejects these, and no other datum here
+                poly = family_germ(field, 0, b, p, lam.R + 1).poly
+                if a:
+                    pole = {(1, 0): field.one}
+                    if lam.is_wild:
+                        pole[0, lam.j] = field.one
+                    poly = poly * BPoly(field, pole)
+                xi = canonical_resolution(BranchGerm(poly)).xi
+                assert xi == xi_type(cls, lam, p), (cls, lam, p)
+                cases += 1
+    assert cases == 384
 
 
 def test_resolution_degree_four_extension():

@@ -154,25 +154,56 @@ def _xi_type_by_layers(cls, lam, p):
     return total + xi_family(a, b, p, R + 1)
 
 
-def test_type_closed_form_matches_layers():
-    # xi_type sums the layers of each stage at once; both sides raise on the
-    # same inputs
-    cases = raised = 0
+def _type_grid():
     for p in (5, 7, 11, 13):
         for cls in SingularityClass:
             for R in range(12 * p):
                 for lam in [RamificationType.tame(R)] + [
                         RamificationType.wild(j, R) for j in range(1, 6)]:
-                    cases += 1
-                    try:
-                        expected = _xi_type_by_layers(cls, lam, p)
-                    except ValueError:
-                        raised += 1
-                        with pytest.raises(ValueError):
-                            xi_type(cls, lam, p)
-                        continue
-                    assert xi_type(cls, lam, p) == expected, (cls, lam, p)
+                    yield cls, lam, p
+
+
+def _assert_matches(function, reference):
+    # equal values, and both sides raise on the same inputs
+    cases = raised = 0
+    for cls, lam, p in _type_grid():
+        cases += 1
+        try:
+            expected = reference(cls, lam, p)
+        except ValueError:
+            raised += 1
+            with pytest.raises(ValueError):
+                function(cls, lam, p)
+            continue
+        assert function(cls, lam, p) == expected, (cls, lam, p)
     assert (cases, raised) == (10368, 3076)
+
+
+def test_type_closed_form_matches_layers():
+    # xi_type reduces to xi_family at m = p instead of walking the layers
+    _assert_matches(xi_type, _xi_type_by_layers)
+
+
+def _slack_by_class(cls, lam, p):
+    # the linear bound of each class, written out, minus xi
+    xi = _xi_type_by_layers(cls, lam, p)
+    R = lam.R
+    if cls is I:
+        return Fraction((p - 1) ** 2 * R, 8 * p) - xi
+    if cls is II:
+        return Fraction((p - 1) ** 2 * R, 8 * p) + Fraction(p - 1, 4) - xi
+    if lam.is_wild:
+        slack = Fraction((p - 1) ** 2 * R, 8 * p) - xi + Fraction((p - 1) * lam.j, 4)
+    else:
+        slack = Fraction((p - 1) * (p + 1) * R, 8 * p) - xi + Fraction(p - 1, 4 * p)
+    if cls is IV:
+        slack += Fraction(p - 1, 4)
+    return slack
+
+
+def test_slack_matches_the_per_class_bounds():
+    # xi_inequality_slack is xi_bound_family - xi_family on the reduced germ
+    _assert_matches(xi_inequality_slack, _slack_by_class)
 
 
 def test_type_depends_on_r_only_for_i_ii():
