@@ -317,9 +317,8 @@ def cmd_genus(args) -> Report:
             report.add("genus-change", "torsion-degree",
                        gen.torsion_degree(rec))
     if args.g is not None:
-        member = gen.quasi_hyperelliptic_genus_ok(args.g, args.p)
         report.add("rational-curve", "quasi-hyperelliptic-genus",
-                   "unknown-at-bound" if member is None else member)
+                   gen.quasi_hyperelliptic_genus_ok(args.g, args.p))
         try:
             report.add("rational-curve", "torsion-degree",
                        gen.rational_curve_torsion(args.g, args.p))

@@ -94,11 +94,6 @@ def primes_between(lo: int, hi: int) -> list[int]:
     return [n for n in range(max(lo, 2), hi + 1) if sieve[n]]
 
 
-def fmt_fraction(x: Fraction) -> str:
-    x = Fraction(x)
-    return str(x.numerator) if x.denominator == 1 else f"{x.numerator}/{x.denominator}"
-
-
 def minimal_irreducible(p: int, k: int) -> tuple[int, ...]:
     """Deterministic defining polynomial for F_{p^k}: the monic irreducible
     x^k + c_{k-1}x^{k-1} + ... + c_0 whose digit vector (c_0, ..., c_{k-1})
@@ -170,7 +165,7 @@ class RationalField:
         return Fraction(a) ** e
 
     def fmt(self, a) -> str:
-        return fmt_fraction(a)
+        return str(Fraction(a))
 
     def __repr__(self):
         return "Q"

@@ -4,7 +4,8 @@ All operations are pure integer or rational identities; no curves are
 modeled.  Genus drops shrink by a factor of at least p along a tower of
 degree-p inseparable covers, the torsion degree of the differentials is
 2p*(drop)/(p-1), and quasi-hyperelliptic rational curves have arithmetic
-genus of the shape (p^i + p^j - 2)/2.
+genus of the shape (p^i + p^j - 2)/2.  That shape is tested exactly, by
+dividing out powers of p, so no bound on the exponents i, j applies.
 """
 
 from __future__ import annotations
@@ -50,9 +51,7 @@ def torsion_degree(rec: GenusChangeRecord) -> int:
             f"2*(g_upper - g_lower) = {2 * rec.drop} is not divisible by "
             f"p - 1 = {rec.p - 1}"
         )
-    num = 2 * rec.p * rec.drop
-    assert num % (rec.p - 1) == 0
-    return num // (rec.p - 1)
+    return 2 * rec.p * rec.drop // (rec.p - 1)
 
 
 def rational_curve_torsion(g: int, p: int) -> int:
@@ -88,26 +87,21 @@ def tower_monotonicity(genera: list[int], p: int) -> bool:
     return True
 
 
-QH_EXPONENT_BOUND = 12
+def quasi_hyperelliptic_genus_ok(g: int, p: int) -> bool:
+    """Whether 2g + 2 = p^i + p^j has a solution with 0 <= i <= j.
 
-
-def quasi_hyperelliptic_genus_ok(g: int, p: int) -> bool | None:
-    """Whether 2g + 2 = p^i + p^j has a solution with 0 <= i, j.
-
-    Exponents are searched up to QH_EXPONENT_BOUND; if no solution exists
-    there but larger exponents could still reach 2g + 2, the answer is
-    unknown at this bound and None is returned rather than a false negative.
-    A negative genus raises ValueError.
+    Exact, for every genus: p^i + p^j = p^i (1 + p^(j-i)), and 1 + p^k is
+    prime to the odd prime p, so p^i is the exact power of p dividing
+    2g + 2, and the answer is yes iff the rest minus 1 is a power of p.
+    A negative genus, or p not an odd prime, raises ValueError.
     """
+    require_odd_prime(p)
     if g < 0:
         raise ValueError(f"genus must be >= 0, got g={g}")
-    target = 2 * g + 2
-    powers = [p**i for i in range(QH_EXPONENT_BOUND + 1)]
-    for i, pi in enumerate(powers):
-        if pi > target:
-            break
-        if any(pi + pj == target for pj in powers[i:]):
-            return True
-    if powers[-1] * p + 1 <= target:
-        return None  # a larger exponent might still work
-    return False
+    rest = 2 * g + 2
+    while rest % p == 0:
+        rest //= p
+    rest -= 1
+    while rest > 1 and rest % p == 0:
+        rest //= p
+    return rest == 1

@@ -1,8 +1,8 @@
 """Deterministic command reports.
 
 A report carries the echoed command, a digest of its canonical input, data
-records and pass/fail checks.  Rendering is exact: Fractions print as
-"num/den", never floating point.  The timestamp is chosen at render time;
+records and pass/fail checks.  Rendering is exact: a Fraction prints as
+str gives it, "num" or "num/den".  The timestamp is chosen at render time;
 without it the same input always renders to identical bytes.
 
 Two renderings exist: "records" is line oriented and tab separated (one
@@ -13,14 +13,9 @@ friendly variant of the same content.
 from __future__ import annotations
 
 import hashlib
-from fractions import Fraction
-
-from .fields import fmt_fraction
 
 
 def fmt_value(v) -> str:
-    if isinstance(v, Fraction):
-        return fmt_fraction(v)
     if isinstance(v, bool):
         return "yes" if v else "no"
     if v is None:

@@ -137,7 +137,7 @@ def blowup_once(germ: BranchGerm) -> BlowupResult:
     The germ is checked to be reduced here (ValueError otherwise); the sites
     returned are reduced again, so blowing them up needs no new check.
     """
-    _require_reduced(germ.poly)
+    _require_reduced(normalize_branch(germ)[1])
     m, (strict_x, branch_x, strict_t, branch_t) = _charts(germ.poly)
     sites, _ = _sites_on_exceptional(strict_x, branch_x, strict_t, branch_t,
                                      (False, False))
@@ -173,9 +173,9 @@ def _charts(poly: BPoly):
     return m, (strict_x, branch_x, strict_t, branch_t)
 
 
-def _require_reduced(poly: BPoly) -> None:
-    parts = b_squarefree(poly)
-    if any(e > 1 for _, e in parts):
+def _require_reduced(even_part: BranchGerm) -> None:
+    # a germ is reduced exactly when the even part of normalize_branch is 1
+    if not even_part.poly.is_constant():
         raise ValueError(
             "branch is not reduced; normalize_branch must be applied first"
         )
@@ -351,9 +351,13 @@ def is_negligible(germ: BranchGerm, *, depth_limit: int = DEFAULT_DEPTH_LIMIT) -
     A germ of multiplicity 2 or 3 is resolved by ``canonical_resolution``
     and raises what that raises: ResolutionDepthError beyond ``depth_limit``
     blow-ups, and IrrationalPointError over Q for a germ of multiplicity 3
-    with irrational tangents.
+    with irrational tangents.  Its reducedness is read off the walk's own
+    normalization: a non-reduced germ of multiplicity 2 or 3 has a reduced
+    part of multiplicity at most 1, so nothing is blown up before the check.
     """
-    _require_reduced(germ.poly)
     if germ.poly.total_valuation() not in (2, 3):
+        _require_reduced(normalize_branch(germ)[1])
         return NOT_NEGLIGIBLE
-    return canonical_resolution(germ, depth_limit=depth_limit).negligible
+    trace = canonical_resolution(germ, depth_limit=depth_limit)
+    _require_reduced(trace.even_part)
+    return trace.negligible

@@ -140,15 +140,6 @@ class UPoly:
             out.append(f.mul(f.from_int(i), c))
         return UPoly(f, out)
 
-    def valuation(self) -> int:
-        """Order of vanishing at 0."""
-        if self.is_zero():
-            raise ValueError("zero polynomial has no valuation")
-        for i, c in enumerate(self.coeffs):
-            if c != self.field.zero:
-                return i
-        raise AssertionError
-
     def pow_mod(self, e: int, mod: "UPoly") -> "UPoly":
         result = UPoly.constant(self.field, self.field.one) % mod
         base = self % mod
@@ -341,7 +332,7 @@ def u_rational_roots(f: UPoly) -> tuple[list[tuple[Fraction, int]], UPoly]:
         raise ValueError("zero polynomial")
     roots: list[tuple[Fraction, int]] = []
     # split off the root at 0 first
-    v = f.valuation()
+    v = next(i for i, c in enumerate(f.coeffs) if c != 0)
     if v:
         f = UPoly(field, f.coeffs[v:])
         roots.append((Fraction(0), v))

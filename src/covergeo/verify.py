@@ -275,8 +275,7 @@ def suite_genus() -> list[Check]:
     bad = []
     for p in (3, 5, 7):
         for g in range(0, 201):
-            member = quasi_hyperelliptic_genus_ok(g, p)
-            if member is True:
+            if quasi_hyperelliptic_genus_ok(g, p):
                 rec = GenusChangeRecord(p, g, 0)
                 if not tate_divisibility(rec):
                     bad.append(f"(p={p},g={g})")

@@ -120,14 +120,18 @@ class RamificationType(namedtuple("RamificationType", [
         return f"wild j={self.j} R={self.R}"
 
 
-def xi_family(a: int, b: int, m: int, n: int) -> int:
-    """Invariant of the germ x^a t^b (x^m - t^n), gcd(m, n) = 1."""
+def _check_family(a: int, b: int, m: int, n: int) -> None:
     if a not in (0, 1) or b not in (0, 1):
         raise ValueError("exponents a, b must be 0 or 1")
     if m < 1 or n < 1:
         raise ValueError("m, n must be positive")
     if math.gcd(m, n) != 1:
         raise ValueError(f"m={m} and n={n} must be coprime")
+
+
+def xi_family(a: int, b: int, m: int, n: int) -> int:
+    """Invariant of the germ x^a t^b (x^m - t^n), gcd(m, n) = 1."""
+    _check_family(a, b, m, n)
     # The recursion's step subtracts the smaller of m, n from the larger,
     # adds _step_drop(a + b + smaller) and sets the larger side's exponent
     # to that sum mod 2.  A run of q = larger // smaller such steps against
@@ -154,24 +158,18 @@ def _run_drops(q: int, e: int, rest: int) -> int:
 
 
 def _step_drop(s: int) -> int:
-    # (l^2 - l)/2 for l = floor(s/2): s(s-2)/8 for even s, (s-1)(s-3)/8 odd
-    if s % 2 == 0:
-        num = s * (s - 2)
-    else:
-        num = (s - 1) * (s - 3)
-    assert num % 8 == 0
-    return num // 8
+    # the chi drop (l^2 - l)/2 of a blow-up at multiplicity s, l = floor(s/2),
+    # as BlowupStep.chi_drop_each; resolve does not load this module
+    l = s // 2
+    return l * (l - 1) // 2
 
 
 def xi_bound_family(a: int, b: int, m: int, n: int) -> Fraction:
     """Closed upper bound for xi_family, valid for odd m:
     (m-1)^2 (n-1) / 8m + (m-1) n a / 4m + (m-1) b / 4."""
-    if a not in (0, 1) or b not in (0, 1):
-        raise ValueError("exponents a, b must be 0 or 1")
+    _check_family(a, b, m, n)
     if m % 2 == 0:
         raise ValueError("the bound requires odd m")
-    if m < 1 or n < 1 or math.gcd(m, n) != 1:
-        raise ValueError("m, n must be positive and coprime")
     return Fraction((m - 1) * ((m - 1) * (n - 1) + 2 * n * a + 2 * m * b), 8 * m)
 
 

@@ -541,6 +541,15 @@ def test_genus_command():
     assert "check\ttower-drops-shrink\tPASS" in out
 
 
+def test_genus_answers_large_exponents():
+    # 2g + 2 = 5^13 + 1; a search bounded at exponent 12 printed
+    # "unknown-at-bound" here
+    code, out, _ = run_cli(["genus", "--p", "5", "--g", "610351562",
+                            "--format", "records", "--no-timestamp"])
+    assert code == 0
+    assert "rational-curve\tquasi-hyperelliptic-genus\tyes" in out.splitlines()
+
+
 @pytest.mark.parametrize("argv,message", [
     (["genus", "--p", "9", "--g", "3"], "p must be an odd prime"),
     (["genus", "--p", "1", "--tower", "7,2,1"], "p must be an odd prime"),

@@ -1,5 +1,6 @@
 import random
 import time
+from fractions import Fraction
 
 import pytest
 
@@ -7,6 +8,7 @@ from covergeo import fields
 from covergeo.fields import (
     MAX_EXTENSION_DEGREE,
     MAX_TABLE_ORDER,
+    QQ,
     ExtensionField,
     extension_field,
     is_prime,
@@ -14,6 +16,7 @@ from covergeo.fields import (
     prime_field,
     primes_between,
 )
+from covergeo.reports import fmt_value
 from covergeo.univariate import UPoly, u_factor
 
 
@@ -217,3 +220,15 @@ def test_primes_between():
                    (90, 97), (97, 97), (24, 28), (0, 10000)]:
         assert primes_between(lo, hi) == [n for n in range(lo, hi + 1)
                                           if is_prime(n)], (lo, hi)
+
+
+def test_rationals_print_as_num_or_num_over_den():
+    # the format pinned: the numerator alone when integral, else num/den
+    def old_rule(x):
+        return str(x.numerator) if x.denominator == 1 else f"{x.numerator}/{x.denominator}"
+
+    grid = [Fraction(n, d) for n in range(-12, 13) for d in range(1, 9)]
+    grid += [Fraction(-3**40, 2**70), Fraction(10**30), Fraction(0, 7)]
+    for x in grid:
+        assert fmt_value(x) == QQ.fmt(x) == old_rule(x), x
+    assert QQ.fmt(-4) == "-4"

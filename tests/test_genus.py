@@ -61,11 +61,28 @@ def test_quasi_hyperelliptic_membership():
     assert quasi_hyperelliptic_genus_ok(1, 5) is False
     assert quasi_hyperelliptic_genus_ok(0, 7) is True  # 2 = 1 + 1
     assert quasi_hyperelliptic_genus_ok(12, 5) is True  # 26 = 25 + 1
-    # beyond the bound the answer is unknown, never a false negative
+    # the test is exact, so an exponent above 12 is answered too
     huge = (5**13 + 1 - 2) // 2
-    assert quasi_hyperelliptic_genus_ok(huge, 5) is None
+    assert quasi_hyperelliptic_genus_ok(huge, 5) is True
     with pytest.raises(ValueError, match="^genus must be >= 0, got g=-1$"):
         quasi_hyperelliptic_genus_ok(-1, 5)
+
+
+@pytest.mark.parametrize("p", [3, 5, 7, 11, 13])
+def test_quasi_hyperelliptic_matches_enumeration(p):
+    limit = 20_000
+    powers = [p**i for i in range(20)]
+    shapes = {(pi + pj - 2) // 2 for i, pi in enumerate(powers) for pj in powers[i:]}
+    for g in range(limit):
+        assert quasi_hyperelliptic_genus_ok(g, p) == (g in shapes), g
+    for g in shapes:
+        assert quasi_hyperelliptic_genus_ok(g, p) is True, g
+
+
+@pytest.mark.parametrize("p", [1, 2])
+def test_quasi_hyperelliptic_requires_odd_prime(p):
+    with pytest.raises(ValueError, match="^p must be an odd prime$"):
+        quasi_hyperelliptic_genus_ok(3, p)
 
 
 def test_quasi_hyperelliptic_implies_tate():

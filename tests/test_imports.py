@@ -78,6 +78,12 @@ def test_kappa_loads_exactly_its_modules():
     assert _loaded(["kappa", "--max", "50"]) == {"cli", "reports", "fields", "geography"}
 
 
+def test_reports_loads_no_other_module():
+    out = _python("import sys, covergeo.reports; "
+                  "print(*sorted(m for m in sys.modules if m.startswith('covergeo.')))")
+    assert out.split() == ["covergeo.reports"]
+
+
 def test_resolve_skips_the_closed_forms():
     loaded = _loaded(RESOLVE_ARGV)
     assert not loaded & RESOLVE_SKIPS, sorted(loaded & RESOLVE_SKIPS)

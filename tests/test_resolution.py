@@ -397,8 +397,19 @@ def test_all_tangent_triple_has_positive_xi():
 
 
 def test_is_negligible_requires_reduced():
-    with pytest.raises(ValueError, match="reduced"):
-        is_negligible(germ("x^2*t"))
+    message = "^branch is not reduced; normalize_branch must be applied first$"
+    for expr in ("x^2*t", "x^2", "x^3", "x^2*t^2", "(x - t^2)^2*t^3"):
+        with pytest.raises(ValueError, match=message):
+            is_negligible(germ(expr))
+
+
+@pytest.mark.parametrize("expr", ["x*t*(x - t)", "x^2 - t^3"])
+def test_is_negligible_factors_once(monkeypatch, expr):
+    # reducedness is read off the walk's own normalization
+    calls = Counter()
+    _count_calls(monkeypatch, covergeo.resolution, "b_squarefree", calls)
+    is_negligible(germ(expr))
+    assert calls["b_squarefree"] == 1
 
 
 # -- reducedness is kept by blow-ups -------------------------------------------
