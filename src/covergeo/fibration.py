@@ -213,7 +213,10 @@ RANDOM_Q_MAX = 20
 
 def random_datum(rng: random.Random, p: int) -> FibrationDatum:
     """One consistent datum: sample pole and vertical points, then choose q
-    and pad with simple class I points to satisfy the degree identity."""
+    and pad with simple class I points to satisfy the degree identity.
+
+    Consistent by construction: the R ranges skip p | R+1, the added II point
+    makes alpha + d even, and the III or IV points make alpha >= 1."""
     for _ in range(64):
         points: list[BranchPointDatum] = []
         for _ in range(rng.randint(1, 3)):  # points of class III / IV
@@ -250,9 +253,7 @@ def random_datum(rng: random.Random, p: int) -> FibrationDatum:
             BranchPointDatum(SingularityClass.I, RamificationType.tame(1))
             for _ in range(fill)
         )
-        datum = FibrationDatum(p, q, tuple(points))
-        if validate(datum).ok:
-            return datum
+        return FibrationDatum(p, q, tuple(points))
     raise RuntimeError("datum generator failed to converge")  # pragma: no cover
 
 

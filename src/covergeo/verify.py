@@ -40,18 +40,18 @@ DEFAULT_SEED = 1729
 Check = tuple[str, bool, str]
 
 
+def _sweep(name: str, bad: list[str], summary: str) -> Check:
+    """A sweep's check: it passes on no bad case and names the first five."""
+    return name, not bad, "; ".join(bad[:5]) if bad else summary
+
+
 def family_germ(field, a: int, b: int, m: int, n: int):
     """The branch germ x^a t^b (x^m - t^n) over the given field."""
     from .polynomials import BPoly
     from .resolution import BranchGerm
 
-    terms = {(m, 0): field.one, (0, n): field.neg(field.one)}
-    poly = BPoly(field, terms)
-    if a:
-        poly = poly * BPoly.var_x(field)
-    if b:
-        poly = poly * BPoly.var_t(field)
-    return BranchGerm(poly)
+    terms = {(m + a, b): field.one, (a, n + b): field.neg(field.one)}
+    return BranchGerm(BPoly(field, terms))
 
 
 def coprime_pairs(limit: int):
@@ -81,13 +81,7 @@ def suite_oracle() -> list[Check]:
                     trace = canonical_resolution(family_germ(fld, a, b, m, n))
                     if trace.xi != expected:
                         mismatches.append(f"(m={m},n={n},{fld.name})")
-            out.append(
-                (
-                    f"oracle a={a} b={b}",
-                    not mismatches,
-                    f"{total} germs" if not mismatches else "; ".join(mismatches),
-                )
-            )
+            out.append(_sweep(f"oracle a={a} b={b}", mismatches, f"{total} germs"))
     return out
 
 
@@ -106,8 +100,7 @@ def suite_app1() -> list[Check]:
                     total += 1
                     if xi_family(a, b, m, n) > xi_bound_family(a, b, m, n):
                         violations.append(f"({a},{b},{m},{n})")
-    out.append(("xi-upper-bound", not violations,
-                f"{total} tuples" if not violations else "; ".join(violations)))
+    out.append(_sweep("xi-upper-bound", violations, f"{total} tuples"))
     out.append(
         (
             "xi-bound-equality-(1,1,3,2)",
@@ -137,13 +130,8 @@ def suite_evidence(seed: int = DEFAULT_SEED) -> list[Check]:
         result = evidence_bound_check(datum)
         if not result.passed:
             failures.append(f"p={datum.p} q={datum.q}")
-    out: list[Check] = [
-        (
-            f"evidence-bound-sweep(seed={seed})",
-            not failures,
-            f"{EVIDENCE_COUNT} data" if not failures else "; ".join(failures[:5]),
-        )
-    ]
+    out = [_sweep(f"evidence-bound-sweep(seed={seed})", failures,
+                  f"{EVIDENCE_COUNT} data")]
     hand = FibrationDatum(
         5,
         2,
@@ -207,13 +195,7 @@ def suite_xi_inequalities() -> list[Check]:
                     lam = RamificationType.wild(j, r)
                     if xi_inequality_slack(cls, lam, p) < 0:
                         violations.append(f"{cls.value} wild j={j} R={r}")
-        out.append(
-            (
-                f"xi-slack p={p}",
-                not violations,
-                f"{total} cases" if not violations else "; ".join(violations[:5]),
-            )
-        )
+        out.append(_sweep(f"xi-slack p={p}", violations, f"{total} cases"))
         eq = xi_inequality_slack(
             SingularityClass.III, RamificationType.wild(1, p), p
         )
@@ -238,17 +220,17 @@ def suite_kappa() -> list[Check]:
         )
     )
     bad = [
-        p
+        f"p={p}"
         for p in primes_between(7, 199)
         if not kappa_conjectural(p) > kappa_proven_lower(p)
     ]
-    out.append(("kappa-conjectural-dominates-7..199", not bad, str(bad or "ok")))
+    out.append(_sweep("kappa-conjectural-dominates-7..199", bad, "ok"))
     bad = [
-        p
+        f"p={p}"
         for p in primes_between(100, 999)
         if not abs(kappa_conjectural(p) - Fraction(1, 12)) < Fraction(1, p)
     ]
-    out.append(("kappa-limit-100..999", not bad, str(bad or "ok")))
+    out.append(_sweep("kappa-limit-100..999", bad, "ok"))
     return out
 
 
@@ -269,9 +251,8 @@ def suite_genus() -> list[Check]:
                 rc_total += 1
                 if rational_curve_torsion(g, p) != expected:
                     bad.append(f"rational(p={p},g={g})")
-    out.append(("torsion-degree-formula", not bad,
-                f"{total} drops, {rc_total} rational-curve pairs"
-                if not bad else "; ".join(bad[:5])))
+    out.append(_sweep("torsion-degree-formula", bad,
+                      f"{total} drops, {rc_total} rational-curve pairs"))
     bad = []
     for p in (3, 5, 7):
         for g in range(0, 201):
@@ -279,8 +260,7 @@ def suite_genus() -> list[Check]:
                 rec = GenusChangeRecord(p, g, 0)
                 if not tate_divisibility(rec):
                     bad.append(f"(p={p},g={g})")
-    out.append(("quasi-hyperelliptic-implies-divisible", not bad,
-                str(bad or "g <= 200")))
+    out.append(_sweep("quasi-hyperelliptic-implies-divisible", bad, "g <= 200"))
     return out
 
 
@@ -296,15 +276,11 @@ SUITES = {
 
 
 def run_suite(name: str, seed: int = DEFAULT_SEED) -> list[Check]:
-    if name == "all":
-        out: list[Check] = []
-        for key in SUITES:
-            out.extend(run_suite(key, seed))
-        return out
-    if name not in SUITES:
+    if name != "all" and name not in SUITES:
         raise ValueError(
             f"unknown suite {name!r}; pick from {', '.join(SUITES)} or all"
         )
-    if name == "evidence":
-        return suite_evidence(seed=seed)
-    return SUITES[name]()
+    out: list[Check] = []
+    for key in SUITES if name == "all" else (name,):
+        out.extend(suite_evidence(seed) if key == "evidence" else SUITES[key]())
+    return out

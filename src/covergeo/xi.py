@@ -68,9 +68,10 @@ class RamificationType(namedtuple("RamificationType", [
 ])):
     """Local ramification descriptor: tame {R} or wild {p*j, R}.
 
-    R is the length of the relative-differentials stalk.  Tame data must
-    satisfy p not dividing R + 1 (then the valuation is R + 1); wild data
-    carry j >= 1 with valuation p*j and must satisfy R >= p*j.
+    R is the length of the relative-differentials stalk.  Tame data have
+    valuation R + 1; wild data carry j >= 1 with valuation p*j.  ``check``
+    asks R >= p*j of wild data and, of both kinds, that p does not divide
+    R + 1: no local function realizes R = -1 mod p.
     """
 
     __slots__ = ()
@@ -101,18 +102,16 @@ class RamificationType(namedtuple("RamificationType", [
 
     def check(self, p: int) -> None:
         """Consistency against the residue characteristic p."""
-        if self.kind == "tame":
-            if (self.R + 1) % p == 0:
-                raise ValueError(
-                    f"tame ramification requires p does not divide R+1 "
-                    f"(got R={self.R}, p={p})"
-                )
-        else:
-            if self.R < p * self.j:
-                raise ValueError(
-                    f"wild ramification requires R >= p*j "
-                    f"(got R={self.R}, p*j={p * self.j})"
-                )
+        if self.kind == "wild" and self.R < p * self.j:
+            raise ValueError(
+                f"wild ramification requires R >= p*j "
+                f"(got R={self.R}, p*j={p * self.j})"
+            )
+        if (self.R + 1) % p == 0:
+            raise ValueError(
+                f"ramification requires p does not divide R+1: R = -1 mod p "
+                f"is not realized by any local function (got R={self.R}, p={p})"
+            )
 
     def fmt(self) -> str:
         if self.kind == "tame":
@@ -183,11 +182,6 @@ def _family_form(cls: SingularityClass, lam: RamificationType,
     if cls is SingularityClass.I and lam.R < 1:
         # the class-I shape is singular only where the function ramifies
         raise ValueError("class I requires R >= 1")
-    if (lam.R + 1) % p == 0:
-        raise ValueError(
-            "inconsistent ramification data: residual index R = -1 mod p "
-            "is not realized by any local function"
-        )
     a, b = cls.branch_exponents
     if cls.counts_as_pole and lam.is_wild:
         # the j layers of valuation p*j, ..., p leave the pole behind

@@ -372,6 +372,26 @@ def test_fibration_inconsistent_datum_fails(tmp_path):
     assert "hurwitz-degree: FAIL" in out
 
 
+def test_fibration_wild_point_at_minus_one_fails_with_report(tmp_path):
+    # validate accepted the wild R = 9 = -1 mod 5, and xi_type then rejected
+    # it with exit 2 and no report
+    path = tmp_path / "datum.json"
+    path.write_text(json.dumps({"p": 5, "q": 2, "points": [
+        {"class": "III", "kind": "wild", "j": 1, "R": 9},
+        {"class": "I", "kind": "tame", "R": 1},
+        {"class": "I", "kind": "tame", "R": 1},
+        {"class": "I", "kind": "tame", "R": 1},
+        {"class": "II", "kind": "tame", "R": 0},
+    ]}), encoding="utf-8")
+    code, out, err = run_cli(["fibration", str(path), "--no-timestamp",
+                              "--format", "records"])
+    assert code == 1 and err == ""
+    lines = out.splitlines()
+    assert any(line.startswith("check\tramification-data\tFAIL\tpoint 0:")
+               for line in lines)
+    assert lines[-1] == "summary\tFAIL\t4/5"
+
+
 def test_fibration_missing_file():
     code, _, err = run_cli(["fibration", "/nonexistent/datum.json"])
     assert code == 2
@@ -575,6 +595,15 @@ def test_verify_command_suites():
     assert "check\tkappa-conjectural-5\tPASS\t1/32" in out
     code, _, err = run_cli(["verify", "nonsense"])
     assert code == 2
+
+
+def test_verify_failing_sweep_names_five_cases(monkeypatch):
+    import covergeo.verify
+
+    monkeypatch.setattr(covergeo.verify, "xi_bound_family", lambda *args: -1)
+    checks = {name: (ok, detail) for name, ok, detail in covergeo.verify.suite_app1()}
+    ok, detail = checks["xi-upper-bound"]
+    assert not ok and len(detail.split("; ")) == 5
 
 
 def test_verify_seed_changes_digest():

@@ -222,6 +222,20 @@ def test_primes_between():
                                           if is_prime(n)], (lo, hi)
 
 
+def test_rationals_are_the_fraction_operators():
+    rng = random.Random(11)
+    values = [Fraction(rng.randint(-10**6, 10**6), rng.randint(1, 10**6))
+              for _ in range(200)]
+    for a, b in zip(values, reversed(values)):
+        assert QQ.add(a, b) == a + b
+        assert QQ.sub(a, b) == a - b
+        assert QQ.mul(a, b) == a * b
+        assert QQ.neg(a) == -a
+    for n in (rng.randint(-10**9, 10**9) for _ in range(50)):
+        value = QQ.from_int(n)
+        assert type(value) is Fraction and value == Fraction(n)
+
+
 def test_rationals_print_as_num_or_num_over_den():
     # the format pinned: the numerator alone when integral, else num/den
     def old_rule(x):

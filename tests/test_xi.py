@@ -184,6 +184,24 @@ def test_type_closed_form_matches_layers():
     _assert_matches(xi_type, _xi_type_by_layers)
 
 
+def test_check_rejects_what_xi_type_rejects():
+    # validate's test of each point is lam.check; class I with R = 0 is
+    # refused earlier, when its BranchPointDatum is built
+    cases = 0
+    for cls, lam, p in _type_grid():
+        if cls is I and lam.R == 0:
+            continue
+        cases += 1
+        try:
+            xi_type(cls, lam, p)
+        except ValueError:
+            with pytest.raises(ValueError):
+                lam.check(p)
+        else:
+            lam.check(p)
+    assert cases == 10344
+
+
 def _slack_by_class(cls, lam, p):
     # the linear bound of each class, written out, minus xi
     xi = _xi_type_by_layers(cls, lam, p)
