@@ -7,6 +7,13 @@ bivariate gcd and exact division run one x-list core over D[t]: D = Z over Q,
 on the integer model with denominators cleared once per call (``int_x_list``),
 and D = F_q over F_q.  The same core, over D = Z, gives Z[t] its gcd and
 exact division.
+
+Over a prime field F_p, the univariate operations that these build on run
+the int-list kernel of ``covergeo.univariate``, chosen by its one predicate
+``fp_modulus(field)`` (p for a ``PrimeField``, else 0).  Here the same test
+sends ``BPoly.translate_t`` and the univariate image of the squarefree
+certificate to loops on bare ints with ``% p`` inline; that image over Q
+lies in the prime field F_(2^31 - 1), so it runs on ints as well.
 """
 
 from __future__ import annotations
@@ -19,7 +26,7 @@ from functools import reduce
 
 from .fields import PrimeField
 from .univariate import (  # noqa: F401
-    UPoly, u_factor, u_rational_roots, u_roots, u_squarefree, ugcd, yun_squarefree)
+    UPoly, fp_modulus, u_factor, u_rational_roots, u_roots, u_squarefree, ugcd, yun_squarefree)
 
 
 class BPoly:
@@ -149,10 +156,19 @@ class BPoly:
             return BPoly(f, _q_translate_t(self.terms, a))
         # binomial expansion of each term; a Taylor shift by Horner's rule
         # measured slower, as the x-columns are sparse
+        top = max(j for _, j in self.terms)
+        p = fp_modulus(f)
+        if p:
+            pows = [pow(a, r, p) for r in range(top + 1)]
+            out: dict = {}
+            for (i, j), c in self.terms.items():
+                for r in range(j + 1):
+                    out[(i, r)] = out.get((i, r), 0) + c * math.comb(j, r) * pows[j - r]
+            return BPoly._adopt(f, {e: c % p for e, c in out.items() if c % p})
         pows = [f.one]
-        for _ in range(max(j for _, j in self.terms)):
+        for _ in range(top):
             pows.append(f.mul(pows[-1], a))
-        out: dict = {}
+        out = {}
         for (i, j), c in self.terms.items():
             for r in range(j, -1, -1):
                 coef = f.mul(c, f.mul(f.from_int(math.comb(j, r)), pows[j - r]))
@@ -443,8 +459,8 @@ def b_normalize(f: BPoly) -> BPoly:
     """Scale so the lexicographically greatest monomial has coefficient 1."""
     if f.is_zero():
         return f
-    lead = max(f.terms)
-    return f.scale(f.field.inv(f.terms[lead]))
+    lead = f.terms[max(f.terms)]
+    return f if lead == f.field.one else f.scale(f.field.inv(lead))
 
 
 def b_gcd(f: BPoly, g: BPoly) -> BPoly:
@@ -563,6 +579,7 @@ def _image_passes(field, image: dict, degree: int, axis: int) -> bool:
     if degree == 0:
         return True
     zero, add, mul, pow_ = field.zero, field.add, field.mul, field.pow
+    p = fp_modulus(field)
     other = 1 - axis
     for v in (1, 2, 3):
         value = field.from_int(v)
@@ -575,7 +592,9 @@ def _image_passes(field, image: dict, degree: int, axis: int) -> bool:
             pw = powers.get(k)
             if pw is None:
                 pw = powers[k] = pow_(value, k)
-            g[e[axis]] = add(g[e[axis]], mul(c, pw))
+            g[e[axis]] = g[e[axis]] + c * pw if p else add(g[e[axis]], mul(c, pw))
+        if p:
+            g = [c % p for c in g]
         if g[degree] != zero:
             g = UPoly(field, g)
             if ugcd(g, g.deriv()).is_constant():

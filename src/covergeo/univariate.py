@@ -9,12 +9,29 @@ source.  Over F_{p^k} the order starts at x + g, g the field's generator,
 not at x: many roots met on the exceptional line are conjugate over F_p,
 and a shift x + c with c in F_p cannot split them, since the quadratic
 character chi commutes with Frobenius sigma, chi(r + c) = chi(sigma(r) + c).
+
+Over a prime field the hot loops run on bare ints.  ``fp_modulus(field)``
+is the one predicate: it gives p for a ``PrimeField``, whose elements are
+ints in [0, p), and 0 otherwise, and it is tested once per operation.  With
+p, the operation runs the int-list kernel below (``_fp_div``, ``_fp_mul``,
+``_fp_gcd``), which reduces mod p inline and calls no field method:
+``UPoly`` addition, negation, product, ``scale``, ``monic``, ``divmod``,
+``%``, ``deriv`` and ``pow_mod``, and ``ugcd``.  Every other field, F_{p^k}
+with k > 1 and Q, goes through the field's methods.
 """
 
 from __future__ import annotations
 
 import math
 from fractions import Fraction
+
+from .fields import PrimeField
+
+
+def fp_modulus(field) -> int:
+    """p if ``field`` is the prime field F_p, else 0: whether an operation
+    runs the int-list kernel."""
+    return field.p if type(field) is PrimeField else 0
 
 
 class UPoly:
@@ -67,25 +84,38 @@ class UPoly:
     def __hash__(self):
         return hash((id(self.field), self.coeffs))
 
+    @classmethod
+    def _adopt(cls, field, coeffs):
+        """Wrap a list with no trailing zeros, such as a kernel returns."""
+        out = cls.__new__(cls)
+        out.field = field
+        out.coeffs = tuple(coeffs)
+        return out
+
     def __add__(self, other):
         f = self.field
-        n = max(len(self.coeffs), len(other.coeffs))
-        out = [f.zero] * n
-        for i, c in enumerate(self.coeffs):
-            out[i] = c
-        for i, c in enumerate(other.coeffs):
-            out[i] = f.add(out[i], c)
+        p = fp_modulus(f)
+        a, b = self.coeffs, other.coeffs
+        if len(a) < len(b):
+            a, b = b, a
+        out = list(a)
+        for i, c in enumerate(b):
+            out[i] = (out[i] + c) % p if p else f.add(out[i], c)
         return UPoly(f, out)
 
     def __neg__(self):
         f = self.field
-        return UPoly(f, [f.neg(c) for c in self.coeffs])
+        p = fp_modulus(f)
+        return UPoly._adopt(f, [-c % p if p else f.neg(c) for c in self.coeffs])
 
     def __sub__(self, other):
         return self + (-other)
 
     def __mul__(self, other):
         f = self.field
+        p = fp_modulus(f)
+        if p:
+            return UPoly._adopt(f, _fp_mul(self.coeffs, other.coeffs, p))
         if not self.coeffs or not other.coeffs:
             return UPoly.zero(f)
         out = [f.zero] * (len(self.coeffs) + len(other.coeffs) - 1)
@@ -98,34 +128,48 @@ class UPoly:
 
     def scale(self, c):
         f = self.field
-        return UPoly(f, [f.mul(c, a) for a in self.coeffs])
+        p = fp_modulus(f)
+        return UPoly(f, [c * a % p if p else f.mul(c, a) for a in self.coeffs])
 
     def monic(self):
         if self.is_zero() or self.leading() == self.field.one:
             return self
-        return self.scale(self.field.inv(self.leading()))
+        p = fp_modulus(self.field)
+        lead = self.leading()
+        return self.scale(pow(lead, -1, p) if p else self.field.inv(lead))
 
-    def __divmod__(self, other):
+    def _divide(self, other, q):
+        """The remainder of self by other; the quotient's coefficients go
+        into the list q when it is given."""
         f = self.field
         if other.is_zero():
             raise ZeroDivisionError("polynomial division by zero")
-        rem = list(self.coeffs)
-        db = other.degree
-        lead = other.leading()
-        inv_lead = None if lead == f.one else f.inv(lead)  # None: monic
-        q = [f.zero] * max(0, len(rem) - db)
-        while len(rem) - 1 >= db and rem:
-            c = rem[-1] if inv_lead is None else f.mul(rem[-1], inv_lead)
-            d = len(rem) - 1 - db
-            q[d] = c
-            for i, bc in enumerate(other.coeffs):
-                rem[d + i] = f.sub(rem[d + i], f.mul(c, bc))
+        rem, b = list(self.coeffs), other.coeffs
+        p = fp_modulus(f)
+        if p:
+            return UPoly._adopt(f, _fp_div(rem, b, p, q))
+        db = len(b) - 1
+        inv_lead = None if b[-1] == f.one else f.inv(b[-1])  # None: monic
+        while len(rem) > db:
+            c = rem.pop()
+            if inv_lead is not None:
+                c = f.mul(c, inv_lead)
+            d = len(rem) - db
+            if q is not None:
+                q[d] = c
+            for i in range(db):
+                rem[d + i] = f.sub(rem[d + i], f.mul(c, b[i]))
             while rem and rem[-1] == f.zero:
                 rem.pop()
-        return UPoly(f, q), UPoly(f, rem)
+        return UPoly._adopt(f, rem)
+
+    def __divmod__(self, other):
+        q = [self.field.zero] * max(0, len(self.coeffs) - len(other.coeffs) + 1)
+        rem = self._divide(other, q)
+        return UPoly(self.field, q), rem
 
     def __mod__(self, other):
-        return divmod(self, other)[1]
+        return self._divide(other, None)
 
     def exact_div(self, other):
         q, r = divmod(self, other)
@@ -135,20 +179,28 @@ class UPoly:
 
     def deriv(self):
         f = self.field
-        out = []
-        for i, c in enumerate(self.coeffs[1:], start=1):
-            out.append(f.mul(f.from_int(i), c))
-        return UPoly(f, out)
+        p = fp_modulus(f)
+        return UPoly(f, [i * c % p if p else f.mul(f.from_int(i), c)
+                         for i, c in enumerate(self.coeffs) if i])
 
     def pow_mod(self, e: int, mod: "UPoly") -> "UPoly":
-        result = UPoly.constant(self.field, self.field.one) % mod
-        base = self % mod
+        f = self.field
+        p = fp_modulus(f)
+        if p:
+            if mod.is_zero():
+                raise ZeroDivisionError("polynomial division by zero")
+            m = mod.coeffs
+            result, base = _fp_div([1], m, p), _fp_div(list(self.coeffs), m, p)
+            mul_mod = lambda a, b: _fp_div(_fp_mul(a, b, p), m, p)  # noqa: E731
+        else:
+            result, base = UPoly.constant(f, f.one) % mod, self % mod
+            mul_mod = lambda a, b: a * b % mod  # noqa: E731
         while e > 0:
             if e & 1:
-                result = (result * base) % mod
-            base = (base * base) % mod
+                result = mul_mod(result, base)
+            base = mul_mod(base, base)
             e >>= 1
-        return result
+        return UPoly._adopt(f, result) if p else result
 
     def sort_key(self):
         return (self.degree, self.coeffs)
@@ -158,9 +210,56 @@ class UPoly:
 
 
 def ugcd(a: UPoly, b: UPoly) -> UPoly:
+    p = fp_modulus(a.field)
+    if p:
+        return UPoly._adopt(a.field, _fp_gcd(list(a.coeffs), list(b.coeffs), p))
     while not b.is_zero():
         a, b = b, a % b
     return a.monic() if not a.is_zero() else a
+
+
+# ---------------------------------------------------------------------------
+# The F_p kernel: polynomials as int lists (increasing degree, entries in
+# [0, p), no trailing zeros, [] is 0), p prime.
+
+
+def _fp_div(a: list, b, p: int, q: list | None = None) -> list:
+    """The remainder of a by nonzero b, consuming a; the quotient's
+    coefficients go into q when it is given."""
+    db = len(b) - 1
+    inv = pow(b[-1], -1, p)
+    while len(a) > db:
+        c = a.pop() * inv % p  # the top term of a - c x^d b cancels
+        d = len(a) - db
+        if q is not None:
+            q[d] = c
+        for i in range(db):
+            a[d + i] = (a[d + i] - c * b[i]) % p
+        while a and not a[-1]:
+            a.pop()
+    return a
+
+
+def _fp_mul(a, b, p: int) -> list:
+    if not a or not b:
+        return []
+    # a product of nonzero leads mod a prime is nonzero: no trailing zeros
+    out = [0] * (len(a) + len(b) - 1)
+    for i, c in enumerate(a):
+        if c:
+            for j, d in enumerate(b, i):
+                out[j] += c * d
+    return [c % p for c in out]
+
+
+def _fp_gcd(a: list, b: list, p: int) -> list:
+    """Monic gcd, consuming a and b; the gcd of [] and [] is []."""
+    while b:
+        a, b = b, _fp_div(a, b, p)
+    if a and a[-1] != 1:
+        inv = pow(a[-1], -1, p)
+        a = [c * inv % p for c in a]
+    return a
 
 
 def u_squarefree(f: UPoly) -> list[tuple[UPoly, int]]:
@@ -322,8 +421,12 @@ def u_rational_roots(f: UPoly) -> tuple[list[tuple[Fraction, int]], UPoly]:
     """Rational roots with multiplicities, plus the root-free cofactor.
 
     Coefficients must be Fractions.  Candidates come from the classical
-    divisor test on the primitive integer model, then each root is divided
-    out to exhaustion.
+    divisor test on the primitive integer model F, and the test and the
+    division run on F itself: each candidate num/den is tried by exact
+    synthetic division of F by den*x - num, which succeeds exactly when it
+    is a root (by Gauss's lemma, as den*x - num is primitive), and each root
+    is divided out to exhaustion.  The cofactor goes back to Q once, at the
+    end.
     """
     field = f.field
     if field.char != 0:
@@ -334,26 +437,33 @@ def u_rational_roots(f: UPoly) -> tuple[list[tuple[Fraction, int]], UPoly]:
     # split off the root at 0 first
     v = next(i for i, c in enumerate(f.coeffs) if c != 0)
     if v:
-        f = UPoly(field, f.coeffs[v:])
         roots.append((Fraction(0), v))
     den = math.lcm(*(c.denominator for c in f.coeffs))
-    ints = [int(c * den) for c in f.coeffs]
+    ints = [c.numerator * (den // c.denominator) for c in f.coeffs[v:]]
     g = math.gcd(*ints)
     ints = [c // g for c in ints]
+    scale = Fraction(g, den)  # f / x^v = scale * F
     for r in sorted(_rational_candidates(ints[0], ints[-1])):
         mult = 0
-        while True:
-            val = Fraction(0)
-            for c in reversed(f.coeffs):
-                val = val * r + c
-            if val != 0:
-                break
-            f = f.exact_div(UPoly(field, (-r, Fraction(1))))
-            mult += 1
+        while (q := _divide_root(ints, r.numerator, r.denominator)) is not None:
+            ints, mult, scale = q, mult + 1, scale * r.denominator
         if mult:
             roots.append((r, mult))
     roots.sort()
-    return roots, f
+    return roots, UPoly(field, [scale * c for c in ints])
+
+
+def _divide_root(ints: list[int], num: int, den: int) -> list[int] | None:
+    """The quotient of the int list by den*x - num, or None if the division
+    is inexact; the quotient's coefficients come from the top down."""
+    q = [0] * (len(ints) - 1)
+    acc = 0
+    for i in range(len(ints) - 1, 0, -1):
+        acc, r = divmod(ints[i] + num * acc, den)
+        if r:
+            return None
+        q[i - 1] = acc
+    return q if ints[0] + num * acc == 0 else None
 
 
 def _divisors(n: int) -> list[int]:

@@ -5,6 +5,7 @@ from fractions import Fraction
 
 import pytest
 
+import covergeo.fields
 import covergeo.polynomials
 import covergeo.univariate
 from covergeo.fields import QQ, extension_field, prime_field
@@ -27,6 +28,7 @@ from covergeo.polynomials import (
     u_rational_roots,
     u_roots,
     u_squarefree,
+    ugcd,
 )
 
 
@@ -707,3 +709,118 @@ def test_translate_over_q_matches_binomial_expansion():
             assert shifted == _shift_by_binomials(f, a)
             assert shifted.translate_t(-a) == f
     assert BPoly.zero(QQ).translate_t(Fraction(1, 2)) == BPoly.zero(QQ)
+
+
+def _codes(rng, p, degree):
+    # degree + 1 codes in 0..p-1, the last nonzero
+    return [rng.randrange(p) for _ in range(degree)] + [rng.randrange(1, p)]
+
+
+@pytest.mark.parametrize("p", [3, 5, 13])
+def test_prime_field_kernel_matches_base_change_to_f_p2(p):
+    # F_p has the codes 0..p-1 in F_{p^2}, whose arithmetic runs through the
+    # field's methods, so every answer over F_p must have the same codes
+    # there: a differential of the int-list kernel against the generic path
+    small, big = prime_field(p), extension_field(p, 2)
+    rng = random.Random(26 * p)
+
+    def both(*codes):
+        return [tuple(UPoly(fld, c) for c in codes) for fld in (small, big)]
+
+    for _ in range(40):
+        a, b, c = (_codes(rng, p, rng.randint(0, 7)) for _ in range(3))
+        e = rng.randrange(2 * p * p)
+        (fa, fb, fc), (ga, gb, gc) = both(a, b, c)
+        pairs = [
+            (divmod(fa * fc + fb, fc), divmod(ga * gc + gb, gc)),
+            (fa * fb * fc, ga * gb * gc),
+            (ugcd(fa * fc, fb * fc), ugcd(ga * gc, gb * gc)),
+            (fa.pow_mod(e, fc), ga.pow_mod(e, gc)),
+            (fa.deriv(), ga.deriv()),
+            (u_squarefree(math.prod([fc, fc] + [fb] * p, start=fa)),
+             u_squarefree(math.prod([gc, gc] + [gb] * p, start=ga))),
+        ]
+        for got, want in pairs:
+            assert repr(got).replace(big.name, small.name) == repr(want).replace(big.name, small.name)
+        terms = {(i, j): v for i, j, v in zip(a, b, c) if v}
+        shift = rng.randrange(1, p)
+        assert (BPoly(small, terms).translate_t(shift).terms
+                == BPoly(big, terms).translate_t(shift).terms)
+
+
+def _fraction_rational_roots(f):
+    # the Fraction evaluation and division that u_rational_roots replaced
+    field = f.field
+    roots = []
+    v = next(i for i, c in enumerate(f.coeffs) if c != 0)
+    if v:
+        f = UPoly(field, f.coeffs[v:])
+        roots.append((Fraction(0), v))
+    den = math.lcm(*(c.denominator for c in f.coeffs))
+    ints = [int(c * den) for c in f.coeffs]
+    g = math.gcd(*ints)
+    ints = [c // g for c in ints]
+    for r in sorted(covergeo.univariate._rational_candidates(ints[0], ints[-1])):
+        mult = 0
+        while True:
+            val = Fraction(0)
+            for c in reversed(f.coeffs):
+                val = val * r + c
+            if val != 0:
+                break
+            f = f.exact_div(UPoly(field, (-r, Fraction(1))))
+            mult += 1
+        if mult:
+            roots.append((r, mult))
+    roots.sort()
+    return roots, f
+
+
+def test_rational_roots_of_non_monic_products_match_fraction_reference():
+    # linear factors with leads other than 1 (25x + 46 broke an earlier
+    # integer prototype) times a cofactor with no rational root; products
+    # whose constant or leading coefficient passes 10^9 are drawn again, as
+    # the candidates come from trial division up to their square roots, and
+    # the largest multiplicities are added by hand
+    rng = random.Random(2026)
+    linear = [(25, 46), (3, -512), (2, 1), (-4, 3), (9, -2), (7, 7), (1, -3)]
+    rootless = ([1, 0, 1], [3, 0, 0, -2], [5, 1, 1], [1], [2, 0, 0, 0, 7])
+    x2_plus_1 = UPoly(QQ, [Fraction(1), Fraction(0), Fraction(1)])
+    fixed = [math.prod([UPoly(QQ, [Fraction(-512), Fraction(3)])] * 4, start=x2_plus_1),
+             math.prod([UPoly(QQ, [Fraction(46), Fraction(25)])] * 4, start=x2_plus_1)]
+    for f in fixed:
+        assert u_rational_roots(f) == _fraction_rational_roots(f)
+    cases = 0
+    while cases < 30:
+        f = UPoly(QQ, [Fraction(c) for c in rng.choice(rootless)])
+        for lead, const in rng.sample(linear, rng.randint(1, 3)):
+            factor = UPoly(QQ, [Fraction(const), Fraction(lead)])
+            for _ in range(rng.randint(1, 4)):
+                f = f * factor
+        if max(abs(f.coeffs[0]), abs(f.leading())) > 10**9:
+            continue
+        cases += 1
+        f = f * UPoly(QQ, [Fraction(0)] * rng.randint(0, 2) + [Fraction(1)])
+        f = f.scale(Fraction(rng.choice([-1, 1]) * rng.randint(1, 9), rng.randint(1, 9)))
+        assert u_rational_roots(f) == _fraction_rational_roots(f)
+
+
+def test_prime_field_operations_call_no_field_method(monkeypatch):
+    # the kernel runs on ints; a fresh F_p whose arithmetic raises still
+    # divides, multiplies, takes gcds and powers, factors and finds roots
+    fld = covergeo.fields.PrimeField(13)
+    for name in ("add", "sub", "mul", "inv"):
+        monkeypatch.setattr(fld, name, _raise)
+    f = upoly(fld, 5, 0, 3, 1, 0, 2)
+    g = upoly(fld, 7, 1, 4)
+    q, r = divmod(f * g + g, f)
+    assert (q, r) == (g, g)
+    assert ugcd(f * g, g * g) == g.monic()
+    assert f.pow_mod(13**2, g) == f % g  # g is squarefree, its roots in F_13^2
+    unit, factors = u_factor(f * g * g)
+    assert unit == 6 and sum(e * h.degree for h, e in factors) == 9
+    assert u_roots(upoly(fld, -1, 0, 0, 1)) == [1, 3, 9]
+
+
+def _raise(*args):
+    raise AssertionError("field method called on the F_p kernel path")
