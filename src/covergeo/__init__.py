@@ -27,9 +27,9 @@ _EXPORTS = {
     "normalize_branch": "resolution",
     "RamificationType": "xi",
     "SingularityClass": "xi",
+    "xi_and_slack": "xi",
     "xi_bound_family": "xi",
     "xi_family": "xi",
-    "xi_inequality_slack": "xi",
     "xi_type": "xi",
 }
 

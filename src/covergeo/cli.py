@@ -153,16 +153,17 @@ def cmd_xi(args) -> Report:
     from .xi import (
         RamificationType,
         SingularityClass,
+        xi_and_slack,
         xi_bound_family,
         xi_family,
-        xi_inequality_slack,
-        xi_type,
     )
 
     modes = sum(1 for flag in (args.family, args.cls) if flag)
     if modes != 1:
         raise ValueError("pick exactly one of --family or --type")
     if args.family:
+        if any(flag is not None for flag in (args.tame, args.wild, args.p)):
+            raise ValueError("--family takes none of --tame, --wild or --p")
         a, b, m, n = args.family
         report = Report(
             f"xi --family {a} {b} {m} {n}",
@@ -191,8 +192,7 @@ def cmd_xi(args) -> Report:
         f"xi --type {cls.value} ({lam.fmt()}) p={args.p}",
         f"xi-type|{cls.value}|{lam.fmt()}|{args.p}",
     )
-    value = xi_type(cls, lam, args.p)
-    slack = xi_inequality_slack(cls, lam, args.p)
+    value, slack = xi_and_slack(cls, lam, args.p)
     report.add("xi", "type", cls.value, lam.fmt(), value)
     report.add("xi", "slack", slack)
     report.check("slack-non-negative", slack >= 0, slack)
@@ -214,11 +214,10 @@ def cmd_fibration(args) -> Report:
     for name, ok, detail in validation.checks:
         report.check(name, ok, detail)
     if validation.ok:
-        alpha, d = fib.alpha_of(datum), fib.d_of(datum)
-        report.add("invariant", "alpha", alpha)
-        report.add("invariant", "d", d)
-        report.add("invariant", "chi-cover", fib.chi_normalized_cover(datum))
-        result = fib.evidence_bound_check(datum)
+        report.add("invariant", "alpha", validation.alpha)
+        report.add("invariant", "d", validation.d)
+        report.add("invariant", "chi-cover", validation.chi_cover)
+        result = fib.evidence_bound_check(validation)
         report.add("invariant", "chi-smooth", result.chi)
         report.add("invariant", "chi-bound", result.bound)
         report.check("chi-lower-bound", result.passed,

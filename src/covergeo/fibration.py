@@ -32,19 +32,14 @@ class InvalidDatumError(ValueError):
 
 
 class BranchPointDatum(namedtuple("BranchPointDatum", "cls ramification")):
+    """A branch point: its class and its ramification data.  Whether the two
+    fit together is asked by ``validate``, through ``xi_type``."""
+
     __slots__ = ()
 
-    # _cls as in namedtuple's own __new__, since cls names a field
-    def __new__(_cls, cls: SingularityClass, ramification: RamificationType):
-        if cls is SingularityClass.I and ramification.R < 1:
-            raise ValueError("a class I point must be a ramification point")
-        return super().__new__(_cls, cls, ramification)
-
-    @property
-    def d_b(self) -> int:
-        return self.cls.d_b
-
     def alpha_term(self, p: int) -> int:
+        """The point's share of alpha: R + 1 at a tame pole (class III or
+        IV), p*j at a wild one, 0 elsewhere."""
         if not self.cls.counts_as_pole:
             return 0
         lam = self.ramification
@@ -62,17 +57,10 @@ class FibrationDatum(namedtuple("FibrationDatum", "p q points")):
         return super().__new__(cls, p, q, points)
 
 
-def alpha_of(datum: FibrationDatum) -> int:
-    """Pole degree: tame class III/IV points contribute R + 1, wild ones p*j."""
-    return sum(pt.alpha_term(datum.p) for pt in datum.points)
-
-
-def d_of(datum: FibrationDatum) -> int:
-    return sum(pt.d_b for pt in datum.points)
-
-
-# checks: a tuple of (name, passed, detail)
-class ValidationReport(namedtuple("ValidationReport", "checks")):
+# checks: a tuple of (name, passed, detail); alpha, d and the two chi values
+# are read off the same pass over the points, the chi values None unless ok
+class ValidationReport(namedtuple(
+        "ValidationReport", "datum checks alpha d chi_cover chi_smooth")):
     __slots__ = ()
 
     @property
@@ -84,75 +72,56 @@ class ValidationReport(namedtuple("ValidationReport", "checks")):
 
 
 def validate(datum: FibrationDatum) -> ValidationReport:
-    """Structural and numerical consistency checks, reported not raised."""
-    checks: list[tuple[str, bool, str]] = []
-    points_ok = True
-    detail = ""
-    for i, pt in enumerate(datum.points):
-        try:
-            pt.ramification.check(datum.p)
-        except ValueError as exc:
-            points_ok = False
-            detail = f"point {i}: {exc}"
-            break
-    checks.append(("ramification-data", points_ok, detail))
-    alpha = alpha_of(datum)
-    d = d_of(datum)
-    total_r = sum(pt.ramification.R for pt in datum.points)
-    hurwitz_lhs = 2 * alpha + 2 * (datum.q - 1)
-    checks.append(
-        (
-            "hurwitz-degree",
-            hurwitz_lhs == total_r,
-            f"2*alpha + 2(q-1) = {hurwitz_lhs}, sum R = {total_r}",
-        )
-    )
-    checks.append(("alpha-d-parity", (alpha + d) % 2 == 0, f"alpha+d = {alpha + d}"))
-    checks.append(("alpha-positive", alpha >= 1, f"alpha = {alpha}"))
-    quarter = Fraction((datum.p - 1) * (alpha + d), 4)
-    checks.append(
-        (
-            "quarter-term-integral",
-            quarter.denominator == 1,
-            f"(p-1)(alpha+d)/4 = {quarter}",
-        )
-    )
-    return ValidationReport(tuple(checks))
+    """Consistency checks, reported not raised, and the invariants of a
+    consistent datum, from one pass over the points.
 
-
-def _require_valid(datum: FibrationDatum) -> None:
-    report = validate(datum)
-    if not report.ok:
-        raise InvalidDatumError(
-            "inconsistent fibration datum: " + ", ".join(report.failures())
-        )
-
-
-def chi_normalized_cover(datum: FibrationDatum) -> int:
-    """chi of the normalized double cover X0 of the ruled surface.  Exact in
-    integers: p is odd, and validate checks that the quarter term is."""
-    _require_valid(datum)
+    Each point passes ``xi_type``, the one per-point rule, or fails the
+    ramification-data check.  Exact in integers: p is odd, and the checks
+    ask that the quarter term (p-1)(alpha+d)/4 is."""
     p, q = datum.p, datum.q
-    alpha, d = alpha_of(datum), d_of(datum)
-    return (p - 3) * (q - 1) // 2 + (p - 1) * (alpha + d) // 4
-
-
-def chi_smooth_model(datum: FibrationDatum) -> int:
-    """chi of the smooth model: the cover value minus all local invariants."""
-    return chi_normalized_cover(datum) - sum(
-        xi_type(pt.cls, pt.ramification, datum.p) for pt in datum.points
-    )
+    alpha = d = total_r = total_xi = 0
+    bad_point = ""
+    for i, pt in enumerate(datum.points):
+        alpha += pt.alpha_term(p)
+        d += pt.cls.d_b
+        total_r += pt.ramification.R
+        if not bad_point:
+            try:
+                total_xi += xi_type(pt.cls, pt.ramification, p)
+            except ValueError as exc:
+                bad_point = f"point {i}: {exc}"
+    hurwitz_lhs = 2 * alpha + 2 * (q - 1)
+    quarter = Fraction((p - 1) * (alpha + d), 4)
+    report = ValidationReport(datum, (
+        ("ramification-data", not bad_point, bad_point),
+        ("hurwitz-degree", hurwitz_lhs == total_r,
+         f"2*alpha + 2(q-1) = {hurwitz_lhs}, sum R = {total_r}"),
+        ("alpha-d-parity", (alpha + d) % 2 == 0, f"alpha+d = {alpha + d}"),
+        ("alpha-positive", alpha >= 1, f"alpha = {alpha}"),
+        ("quarter-term-integral", quarter.denominator == 1,
+         f"(p-1)(alpha+d)/4 = {quarter}"),
+    ), alpha, d, None, None)
+    if not report.ok:
+        return report
+    # chi of the normalized double cover X0 of the ruled surface; the smooth
+    # model's is that minus all local invariants
+    chi_cover = (p - 3) * (q - 1) // 2 + int(quarter)
+    return report._replace(chi_cover=chi_cover, chi_smooth=chi_cover - total_xi)
 
 
 EvidenceResult = namedtuple("EvidenceResult", "chi bound passed")
 
 
-def evidence_bound_check(datum: FibrationDatum) -> EvidenceResult:
-    """chi(smooth model) against the lower bound (p^2-4p-1)(q-1)/4p."""
-    chi = chi_smooth_model(datum)
-    p, q = datum.p, datum.q
+def evidence_bound_check(report: ValidationReport) -> EvidenceResult:
+    """chi(smooth model) of a validated datum against the lower bound
+    (p^2-4p-1)(q-1)/4p; InvalidDatumError if the datum is inconsistent."""
+    if not report.ok:
+        raise InvalidDatumError(
+            "inconsistent fibration datum: " + ", ".join(report.failures())
+        )
+    p, q = report.datum.p, report.datum.q
     bound = Fraction((p * p - 4 * p - 1) * (q - 1), 4 * p)
-    return EvidenceResult(chi, bound, chi >= bound)
+    return EvidenceResult(report.chi_smooth, bound, report.chi_smooth >= bound)
 
 
 # ---------------------------------------------------------------------------
@@ -237,7 +206,7 @@ def random_datum(rng: random.Random, p: int) -> FibrationDatum:
                 SingularityClass.I,
                 RamificationType.tame(rng.choice(_tame_indexes(p, 1, 2 * p)))))
         alpha = sum(pt.alpha_term(p) for pt in points)
-        d = sum(pt.d_b for pt in points)
+        d = sum(pt.cls.d_b for pt in points)
         if (alpha + d) % 2:
             points.append(BranchPointDatum(
                 SingularityClass.II, RamificationType.tame(0)))

@@ -289,11 +289,11 @@ def canonical_resolution(germ: BranchGerm, *,
 
     The blow-up tree is walked once, from an explicit stack, so the only
     limit on its depth is ``depth_limit``: at most that many blow-ups
-    (ResolutionDepthError beyond).  A singular point that needs F_{p^k} with
-    k > MAX_EXTENSION_DEGREE raises ExtensionDegreeError, naming the centre
-    blown up; regular points need no field.  The negligible class is read
-    off the same walk.  The trace holds germs and numbers; nothing here
-    formats a polynomial.
+    (ResolutionDepthError beyond, naming the first centre left unresolved).
+    A singular point that needs F_{p^k} with k > MAX_EXTENSION_DEGREE raises
+    ExtensionDegreeError, naming the centre blown up; regular points need no
+    field.  The negligible class is read off the same walk.  The trace holds
+    germs and numbers; nothing here formats a polynomial.
     """
     b1, b0 = normalize_branch(germ)
     m = b1.poly.total_valuation()
@@ -305,7 +305,8 @@ def canonical_resolution(germ: BranchGerm, *,
         current, center, copies, flags = stack.pop()
         if len(steps) >= depth_limit:
             raise ResolutionDepthError(
-                f"resolution depth exceeded ({depth_limit} blow-ups)"
+                f"resolution depth exceeded ({depth_limit} blow-ups) "
+                f"(blow-up centre: {center})"
             )
         try:
             mult, charts = _charts(current.poly)

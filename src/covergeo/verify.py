@@ -30,9 +30,9 @@ from .geography import (
 from .xi import (
     RamificationType,
     SingularityClass,
+    xi_and_slack,
     xi_bound_family,
     xi_family,
-    xi_inequality_slack,
 )
 
 DEFAULT_SEED = 1729
@@ -120,14 +120,14 @@ def suite_evidence(seed: int = DEFAULT_SEED) -> list[Check]:
     from .fibration import (
         BranchPointDatum,
         FibrationDatum,
-        chi_smooth_model,
         evidence_bound_check,
         iter_random_data,
+        validate,
     )
 
     failures = []
     for datum in iter_random_data(seed, EVIDENCE_COUNT):
-        result = evidence_bound_check(datum)
+        result = evidence_bound_check(validate(datum))
         if not result.passed:
             failures.append(f"p={datum.p} q={datum.q}")
     out = [_sweep(f"evidence-bound-sweep(seed={seed})", failures,
@@ -140,13 +140,12 @@ def suite_evidence(seed: int = DEFAULT_SEED) -> list[Check]:
             + [BranchPointDatum(SingularityClass.III, RamificationType.tame(1))]
         ),
     )
-    chi = chi_smooth_model(hand)
-    result = evidence_bound_check(hand)
+    result = evidence_bound_check(validate(hand))
     out.append(
         (
             "evidence-hand-instance",
-            chi == 3 and result.passed and result.bound == Fraction(1, 5),
-            f"chi = {chi}, bound = {result.bound}",
+            result.chi == 3 and result.passed and result.bound == Fraction(1, 5),
+            f"chi = {result.chi}, bound = {result.bound}",
         )
     )
     return out
@@ -185,7 +184,7 @@ def suite_xi_inequalities() -> list[Check]:
                 if (r + 1) % p == 0:
                     continue
                 total += 1
-                if xi_inequality_slack(cls, RamificationType.tame(r), p) < 0:
+                if xi_and_slack(cls, RamificationType.tame(r), p)[1] < 0:
                     violations.append(f"{cls.value} tame R={r}")
             for j in (1, 2, 3):
                 for r in range(p * j, p * j + p - 1):
@@ -193,10 +192,10 @@ def suite_xi_inequalities() -> list[Check]:
                         continue
                     total += 1
                     lam = RamificationType.wild(j, r)
-                    if xi_inequality_slack(cls, lam, p) < 0:
+                    if xi_and_slack(cls, lam, p)[1] < 0:
                         violations.append(f"{cls.value} wild j={j} R={r}")
         out.append(_sweep(f"xi-slack p={p}", violations, f"{total} cases"))
-        eq = xi_inequality_slack(
+        _, eq = xi_and_slack(
             SingularityClass.III, RamificationType.wild(1, p), p
         )
         out.append((f"xi-slack-equality p={p}", eq == 0, f"slack = {eq}"))

@@ -11,9 +11,10 @@ function, reduce to this family at m = p.  With (a, b) the class's
 pole, is the germ x^a t^b (x^p - t^(R+1)).  A wild pole (class III or IV with
 wild j) is j layers, each adding (p^2 - 1)/8, over x^0 t^b (x^p - t^n) with
 n = R - p*j + 1.  ``xi_type`` adds the layers to ``xi_family`` of that germ.
-The layers add (p^2 - 1)/8 to the per-class linear bound as well, so
-``xi_inequality_slack``, the bound minus xi, is ``xi_bound_family`` minus
-``xi_family`` of the same germ; it is non-negative for every admissible input.
+The layers add (p^2 - 1)/8 to the per-class linear bound as well, so the
+slack, the bound minus xi, is ``xi_bound_family`` minus ``xi_family`` of the
+same germ; it is non-negative for every admissible input.  ``xi_and_slack``
+returns xi and the slack from one reduction of the point.
 """
 
 from __future__ import annotations
@@ -174,8 +175,9 @@ def xi_bound_family(a: int, b: int, m: int, n: int) -> Fraction:
 
 def _family_form(cls: SingularityClass, lam: RamificationType,
                  p: int) -> tuple[int, int, int, int]:
-    # (layers, a, b, n): the point is `layers` wild layers, each adding
-    # (p^2 - 1)/8 to xi and to its bound, over the germ x^a t^b (x^p - t^n)
+    # The one per-point rule.  (lift, a, b, n): the point's xi and its bound
+    # are those of the germ x^a t^b (x^p - t^n) plus lift, the (p^2 - 1)/8
+    # of each wild layer
     if p < 5 or not is_prime(p):
         raise ValueError("class I-IV invariants need a prime p >= 5")
     lam.check(p)
@@ -185,18 +187,20 @@ def _family_form(cls: SingularityClass, lam: RamificationType,
     a, b = cls.branch_exponents
     if cls.counts_as_pole and lam.is_wild:
         # the j layers of valuation p*j, ..., p leave the pole behind
-        return lam.j, 0, b, lam.R - p * lam.j + 1
+        return lam.j * (p * p - 1) // 8, 0, b, lam.R - p * lam.j + 1
     return 0, a, b, lam.R + 1
 
 
 def xi_type(cls: SingularityClass, lam: RamificationType, p: int) -> int:
     """Invariant of a class I-IV branch point with ramification data lam."""
-    layers, a, b, n = _family_form(cls, lam, p)
-    return layers * (p * p - 1) // 8 + xi_family(a, b, p, n)
+    lift, a, b, n = _family_form(cls, lam, p)
+    return lift + xi_family(a, b, p, n)
 
 
-def xi_inequality_slack(cls: SingularityClass, lam: RamificationType,
-                        p: int) -> Fraction:
-    """Left-minus-right value of the per-class linear bound on xi_type."""
-    _, a, b, n = _family_form(cls, lam, p)
-    return xi_bound_family(a, b, p, n) - xi_family(a, b, p, n)
+def xi_and_slack(cls: SingularityClass, lam: RamificationType,
+                 p: int) -> tuple[int, Fraction]:
+    """xi_type of the point and its slack: the per-class linear bound on
+    xi_type minus xi_type."""
+    lift, a, b, n = _family_form(cls, lam, p)
+    base = xi_family(a, b, p, n)
+    return lift + base, xi_bound_family(a, b, p, n) - base

@@ -11,8 +11,8 @@ from pathlib import Path
 from covergeo.fibration import (
     BranchPointDatum,
     FibrationDatum,
-    chi_smooth_model,
     evidence_bound_check,
+    validate,
 )
 from covergeo.geography import SurfaceInvariants, char3_example, noether_check
 from covergeo.verify import (
@@ -73,8 +73,8 @@ def test_criterion_5_evidence_sweep():
             + [BranchPointDatum(SingularityClass.III, RamificationType.tame(1))]
         ),
     )
-    assert chi_smooth_model(hand) == 3
-    assert evidence_bound_check(hand).bound == Fraction(1, 5)
+    result = evidence_bound_check(validate(hand))
+    assert (result.chi, result.bound) == (3, Fraction(1, 5))
 
 
 def test_criterion_6_xi_inequality_sweep():

@@ -9,6 +9,7 @@ import pytest
 
 import covergeo.cli
 import covergeo.fibration
+import covergeo.xi
 from covergeo.cli import main
 from covergeo.fields import MAX_CHARACTERISTIC
 from covergeo.geography import MAX_CHAR3_N, MAX_KAPPA_P
@@ -163,7 +164,8 @@ def test_resolve_regular_conjugate_points_need_no_field():
 def test_resolve_depth_guard_exit_1():
     code, _, err = run_cli(["resolve", "x*t*(x-t)", "--depth-limit", "2"])
     assert code == 1
-    assert "depth exceeded" in err
+    assert err == ("covergeo resolve: resolution depth exceeded (2 blow-ups) "
+                   "(blow-up centre: origin -> chart x @ 1)\n")
 
 
 def test_resolve_long_chain_exit_0():
@@ -324,6 +326,16 @@ def test_xi_needs_exactly_one_mode():
     assert code == 2  # missing --tame/--wild
 
 
+@pytest.mark.parametrize("extra", [
+    ["--tame", "5"], ["--wild", "j=1", "R=5"], ["--p", "7"],
+    ["--tame", "5", "--p", "7"],
+])
+def test_xi_family_refuses_type_flags(extra):
+    code, out, err = run_cli(["xi", "--family", "0", "0", "3", "2", *extra])
+    assert code == 2 and out == ""
+    assert err == "covergeo xi: --family takes none of --tame, --wild or --p\n"
+
+
 def readme_datum(point=(), **top):
     """The README's example datum as JSON, with the first point's fields and
     the top-level fields updated."""
@@ -343,25 +355,42 @@ def test_fibration_command(tmp_path):
     assert "check\tchi-lower-bound\tPASS\t3 >= 1/5" in out
 
 
-def test_fibration_computes_chi_once(tmp_path, monkeypatch):
-    # chi-smooth is the chi of the bound check: one validation each for the
-    # report, chi-cover and the bound, and one xi per point
-    datum = next(covergeo.fibration.iter_random_data(3, 1))
-    path = tmp_path / "datum.json"
-    covergeo.fibration.save_datum(datum, path)
-    calls = {"validate": 0, "xi_type": 0}
-    for name in calls:
-        fn = getattr(covergeo.fibration, name)
-
-        def counted(*args, _fn=fn, _name=name):
+def _count_calls(monkeypatch, owners):
+    """Wrap each owner's named function to count its calls; owners maps a
+    name to the module or class that holds it."""
+    calls = dict.fromkeys(owners, 0)
+    for name, owner in owners.items():
+        def counted(*args, _fn=getattr(owner, name), _name=name):
             calls[_name] += 1
             return _fn(*args)
 
-        monkeypatch.setattr(covergeo.fibration, name, counted)
+        monkeypatch.setattr(owner, name, counted)
+    return calls
+
+
+def test_fibration_computes_chi_once(tmp_path, monkeypatch):
+    # one validation gives the checks, alpha, d and both chi values, and it
+    # runs the one per-point rule once per point
+    datum = next(covergeo.fibration.iter_random_data(3, 1))
+    assert len(datum.points) == 46
+    path = tmp_path / "datum.json"
+    covergeo.fibration.save_datum(datum, path)
+    calls = _count_calls(monkeypatch, {
+        "validate": covergeo.fibration, "xi_type": covergeo.fibration,
+        "check": covergeo.xi.RamificationType})
     code, out, _ = run_cli(["fibration", str(path), "--no-timestamp",
                             "--format", "records"])
     assert code == 0 and "invariant\tchi-smooth\t" in out
-    assert calls == {"validate": 3, "xi_type": len(datum.points)}
+    assert calls == {"validate": 1, "xi_type": 46, "check": 46}
+
+
+def test_xi_type_reduces_the_point_once(monkeypatch):
+    calls = _count_calls(monkeypatch, {
+        "_family_form": covergeo.xi, "xi_family": covergeo.xi})
+    code, out, _ = run_cli(["xi", "--type", "III", "--wild", "j=1", "R=5",
+                            "--p", "5", "--no-timestamp", "--format", "records"])
+    assert code == 0 and "xi\tslack\t0" in out
+    assert calls == {"_family_form": 1, "xi_family": 1}
 
 
 def test_fibration_inconsistent_datum_fails(tmp_path):
@@ -390,6 +419,22 @@ def test_fibration_wild_point_at_minus_one_fails_with_report(tmp_path):
     assert any(line.startswith("check\tramification-data\tFAIL\tpoint 0:")
                for line in lines)
     assert lines[-1] == "summary\tFAIL\t4/5"
+
+
+def test_fibration_class_i_without_ramification_fails_with_report(tmp_path):
+    # R >= 1 for class I is one of the per-point rules, so the datum is
+    # well formed and gets its whole report
+    path = tmp_path / "datum.json"
+    path.write_text(readme_datum({"R": 0}), encoding="utf-8")
+    code, out, err = run_cli(["fibration", str(path), "--no-timestamp",
+                              "--format", "records"])
+    assert code == 1 and err == ""
+    lines = out.splitlines()
+    assert ("check\tramification-data\tFAIL\tpoint 0: class I requires R >= 1"
+            in lines)
+    assert "check\thurwitz-degree\tFAIL\t2*alpha + 2(q-1) = 6, sum R = 5" in lines
+    assert not any(line.startswith("invariant\t") for line in lines)
+    assert lines[-1] == "summary\tFAIL\t3/5"
 
 
 def test_fibration_missing_file():

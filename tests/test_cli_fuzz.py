@@ -2,8 +2,9 @@
 
 The exit-code contract: 0 or 1 with a report on stdout and nothing on
 stderr, or 2 with no stdout and the one line "covergeo <command>: ..." on
-stderr.  A fibration datum that datum_from_json accepts is never a usage
-error.  resolve is left out: its known hangs would stall the fuzzer.
+stderr.  A fibration datum that datum_from_json accepts, consistent or not,
+exits 0 or 1 with its whole report, summary last.  resolve is left out: its
+known hangs would stall the fuzzer.
 """
 
 import json
@@ -123,4 +124,6 @@ def test_fibration_keeps_the_exit_contract(tmp_path_factory, data, flag_pair):
         datum_from_json(text)
     except InvalidDatumError:
         return
-    assert code != 2, (data, err)
+    assert code in (0, 1), (data, err)
+    lead = "summary\t" if flag_pair[0] else "summary: "
+    assert out.splitlines()[-1].startswith(lead + ("PASS" if code == 0 else "FAIL")), (data, out)

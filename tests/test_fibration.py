@@ -6,9 +6,6 @@ from covergeo.fibration import (
     BranchPointDatum,
     FibrationDatum,
     InvalidDatumError,
-    alpha_of,
-    chi_normalized_cover,
-    chi_smooth_model,
     datum_from_json,
     datum_to_json,
     evidence_bound_check,
@@ -45,15 +42,16 @@ def hand_datum():
 
 
 def test_alpha():
-    assert alpha_of(hand_datum()) == 2
+    assert validate(hand_datum()).alpha == 2
     wild = FibrationDatum(
         5, 4,
         tuple([point(IV, RamificationType.wild(1, 5))]
               + [point(I, RamificationType.tame(1))] * 11),
     )
-    assert alpha_of(wild) == 5
-    no_pole = FibrationDatum(5, 2, (point(I, RamificationType.tame(1)),))
-    assert alpha_of(no_pole) == 0  # flagged invalid downstream
+    assert (validate(wild).alpha, validate(wild).d) == (5, 1)
+    no_pole = validate(FibrationDatum(5, 2, (point(I, RamificationType.tame(1)),)))
+    assert no_pole.alpha == 0 and "alpha-positive" in no_pole.failures()
+    assert (no_pole.chi_cover, no_pole.chi_smooth) == (None, None)
 
 
 def test_validation_passes_on_hand_datum():
@@ -86,15 +84,21 @@ def test_validation_catches_bad_ramification():
 
 
 def test_class_i_requires_ramification():
-    with pytest.raises(ValueError):
-        point(I, RamificationType.tame(0))
+    # the point is built; validate refuses it through xi_type, the one
+    # per-point rule, and still runs the other checks
+    datum = FibrationDatum(5, 2, hand_datum().points[1:]
+                           + (point(I, RamificationType.tame(0)),))
+    report = validate(datum)
+    assert report.failures() == ["ramification-data", "hurwitz-degree"]
+    assert report.checks[0] == ("ramification-data", False,
+                                "point 5: class I requires R >= 1")
+    assert report.chi_smooth is None
 
 
 def test_chi_values():
-    datum = hand_datum()
-    assert chi_normalized_cover(datum) == 3
-    assert chi_smooth_model(datum) == 3
-    result = evidence_bound_check(datum)
+    report = validate(hand_datum())
+    assert (report.chi_cover, report.chi_smooth) == (3, 3)
+    result = evidence_bound_check(report)
     assert (result.chi, result.bound, result.passed) == (3, Fraction(1, 5), True)
 
 
@@ -104,26 +108,29 @@ def test_chi_wild_instance():
         tuple([point(IV, RamificationType.wild(1, 5))]
               + [point(I, RamificationType.tame(1))] * 11),
     )
-    assert validate(datum).ok
-    assert chi_normalized_cover(datum) == 9
-    assert chi_smooth_model(datum) == 6
-    assert evidence_bound_check(datum).passed
+    report = validate(datum)
+    assert report.ok
+    assert (report.chi_cover, report.chi_smooth) == (9, 6)
+    assert evidence_bound_check(report).passed
 
 
 def test_chi_rejects_invalid():
     datum = FibrationDatum(5, 3, hand_datum().points)
-    with pytest.raises(InvalidDatumError):
-        chi_smooth_model(datum)
+    with pytest.raises(InvalidDatumError, match="hurwitz-degree"):
+        evidence_bound_check(validate(datum))
 
 
 def test_cover_minus_smooth_is_total_xi():
     for datum in iter_random_data(99, 60):
         p, q = datum.p, datum.q
-        alpha, d = alpha_of(datum), sum(pt.d_b for pt in datum.points)
-        cover = chi_normalized_cover(datum)
+        report = validate(datum)
+        alpha = sum(pt.alpha_term(p) for pt in datum.points)
+        d = sum(pt.cls.d_b for pt in datum.points)
+        assert (report.alpha, report.d) == (alpha, d)
+        cover = report.chi_cover
         assert type(cover) is int
         assert cover == Fraction((p - 3) * (q - 1), 2) + Fraction((p - 1) * (alpha + d), 4)
-        assert cover - chi_smooth_model(datum) == sum(
+        assert cover - report.chi_smooth == sum(
             xi_type(pt.cls, pt.ramification, p) for pt in datum.points)
 
 
@@ -133,9 +140,10 @@ def test_p7_cover_chi():
         tuple([point(I, RamificationType.tame(1))] * 5
               + [point(III, RamificationType.tame(1))]),
     )
-    assert validate(datum).ok  # sum R = 6 = 2*2 + 2, alpha + d = 2
-    assert chi_normalized_cover(datum) == 2 + 3
-    assert evidence_bound_check(datum).bound == Fraction(20, 28)
+    report = validate(datum)
+    assert report.ok  # sum R = 6 = 2*2 + 2, alpha + d = 2
+    assert report.chi_cover == 2 + 3
+    assert evidence_bound_check(report).bound == Fraction(20, 28)
 
 
 def test_serialization_roundtrip(tmp_path):
@@ -186,4 +194,4 @@ def test_generator_consistency_and_determinism():
 
 def test_evidence_sweep():
     for datum in iter_random_data(2024, 200):
-        assert evidence_bound_check(datum).passed
+        assert evidence_bound_check(validate(datum)).passed

@@ -33,7 +33,10 @@ RECORDS = [
     (fibration.BranchPointDatum,
      dict(cls=xi.SingularityClass.I, ramification=TAME)),
     (fibration.FibrationDatum, dict(p=5, q=2, points=(POINT,))),
-    (fibration.ValidationReport, dict(checks=(("alpha-positive", True, "alpha = 2"),))),
+    (fibration.ValidationReport,
+     dict(datum=fibration.FibrationDatum(5, 2, (POINT,)),
+          checks=(("alpha-positive", True, "alpha = 2"),),
+          alpha=2, d=0, chi_cover=2, chi_smooth=1)),
     (fibration.EvidenceResult, dict(chi=3, bound=Fraction(1, 5), passed=True)),
     (geography.SurfaceInvariants, dict(p=5, K2=16, c2=-20, chi=2, q=6, g=2)),
     (geography.KappaReport,
@@ -69,10 +72,7 @@ def test_record_defaults():
     (lambda: xi.RamificationType("foo", 1), "unknown ramification kind 'foo'"),
     (lambda: fibration.FibrationDatum(3, 2, (POINT,)), "prime p >= 5"),
     (lambda: genus.GenusChangeRecord(5, 2, -1), "g_upper >= g_lower >= 0"),
-    (lambda: fibration.BranchPointDatum(xi.SingularityClass.I,
-                                        xi.RamificationType.tame(0)),
-     "ramification point"),
-], ids=["zero-germ", "unknown-kind", "p=3", "negative-g_lower", "class-I-R=0"])
+], ids=["zero-germ", "unknown-kind", "p=3", "negative-g_lower"])
 def test_record_checks_still_raise(build, message):
     with pytest.raises(ValueError, match=message):
         build()

@@ -5,13 +5,14 @@ import pytest
 from hypothesis import given
 from hypothesis import strategies as st
 
+from covergeo.fibration import BranchPointDatum, FibrationDatum, validate
 from covergeo.xi import (
     RamificationType,
     SingularityClass,
     _step_drop,
+    xi_and_slack,
     xi_bound_family,
     xi_family,
-    xi_inequality_slack,
     xi_type,
 )
 
@@ -185,21 +186,20 @@ def test_type_closed_form_matches_layers():
 
 
 def test_check_rejects_what_xi_type_rejects():
-    # validate's test of each point is lam.check; class I with R = 0 is
-    # refused earlier, when its BranchPointDatum is built
+    # validate's ramification-data check fails exactly where xi_type raises,
+    # class I with R = 0 included
     cases = 0
     for cls, lam, p in _type_grid():
-        if cls is I and lam.R == 0:
-            continue
         cases += 1
+        report = validate(FibrationDatum(p, 2, (BranchPointDatum(cls, lam),)))
         try:
             xi_type(cls, lam, p)
-        except ValueError:
-            with pytest.raises(ValueError):
-                lam.check(p)
+        except ValueError as exc:
+            assert report.checks[0] == ("ramification-data", False,
+                                        f"point 0: {exc}")
         else:
-            lam.check(p)
-    assert cases == 10344
+            assert report.checks[0] == ("ramification-data", True, "")
+    assert cases == 10368
 
 
 def _slack_by_class(cls, lam, p):
@@ -220,8 +220,9 @@ def _slack_by_class(cls, lam, p):
 
 
 def test_slack_matches_the_per_class_bounds():
-    # xi_inequality_slack is xi_bound_family - xi_family on the reduced germ
-    _assert_matches(xi_inequality_slack, _slack_by_class)
+    # the slack is xi_bound_family - xi_family on the reduced germ
+    _assert_matches(xi_and_slack, lambda *point: (_xi_type_by_layers(*point),
+                                                  _slack_by_class(*point)))
 
 
 def test_type_depends_on_r_only_for_i_ii():
@@ -255,9 +256,9 @@ def test_type_rejects_inconsistent_data():
 
 
 def test_slack_examples():
-    assert xi_inequality_slack(I, RamificationType.tame(1), 5) == Fraction(2, 5)
-    assert xi_inequality_slack(II, RamificationType.tame(1), 5) == Fraction(2, 5)
-    assert xi_inequality_slack(III, RamificationType.wild(1, 5), 5) == 0
+    assert xi_and_slack(I, RamificationType.tame(1), 5) == (0, Fraction(2, 5))
+    assert xi_and_slack(II, RamificationType.tame(1), 5) == (1, Fraction(2, 5))
+    assert xi_and_slack(III, RamificationType.wild(1, 5), 5) == (3, 0)
 
 
 def test_slack_non_negative_sweep():
@@ -266,18 +267,18 @@ def test_slack_non_negative_sweep():
             for r in range(0 if cls is not I else 1, 4 * p + 1):
                 if (r + 1) % p == 0:
                     continue
-                assert xi_inequality_slack(cls, RamificationType.tame(r), p) >= 0
+                assert xi_and_slack(cls, RamificationType.tame(r), p)[1] >= 0
             for j in (1, 2, 3):
                 for r in range(p * j, p * j + p - 1):
                     if (r + 1) % p == 0:
                         continue
                     lam = RamificationType.wild(j, r)
-                    assert xi_inequality_slack(cls, lam, p) >= 0
+                    assert xi_and_slack(cls, lam, p)[1] >= 0
 
 
 def test_slack_equality_at_wild_pole():
     for p in (5, 7, 11):
-        assert xi_inequality_slack(III, RamificationType.wild(1, p), p) == 0
+        assert xi_and_slack(III, RamificationType.wild(1, p), p)[1] == 0
 
 
 def test_class_exponent_map():
