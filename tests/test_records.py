@@ -72,7 +72,11 @@ def test_record_defaults():
     (lambda: xi.RamificationType("foo", 1), "unknown ramification kind 'foo'"),
     (lambda: fibration.FibrationDatum(3, 2, (POINT,)), "prime p >= 5"),
     (lambda: genus.GenusChangeRecord(5, 2, -1), "g_upper >= g_lower >= 0"),
-], ids=["zero-germ", "unknown-kind", "p=3", "negative-g_lower"])
+    # a class I point with R = 0 is built; the per-point rule that validate
+    # runs is what rejects it
+    (lambda: xi.xi_type(xi.SingularityClass.I, xi.RamificationType.tame(0), 5),
+     "class I requires R >= 1"),
+], ids=["zero-germ", "unknown-kind", "p=3", "negative-g_lower", "class-I-R=0"])
 def test_record_checks_still_raise(build, message):
     with pytest.raises(ValueError, match=message):
         build()
