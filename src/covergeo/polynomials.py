@@ -104,19 +104,11 @@ class BPoly:
         f = self.field
         return BPoly(f, {e: f.mul(c, a) for e, a in self.terms.items()})
 
-    def eval_origin(self):
-        return self.terms.get((0, 0), self.field.zero)
-
     def total_valuation(self) -> int:
         """Multiplicity at the origin: least total degree of a monomial."""
         if not self.terms:
             raise ValueError("zero polynomial has no multiplicity")
         return min(i + j for i, j in self.terms)
-
-    def x_valuation(self) -> int:
-        if not self.terms:
-            raise ValueError("zero polynomial")
-        return min(i for i, _ in self.terms)
 
     def x_degree(self) -> int:
         return max((i for i, _ in self.terms), default=-1)
@@ -136,16 +128,6 @@ class BPoly:
                 if d != f.zero:
                     ft[(i, j - 1)] = d
         return BPoly._adopt(f, fx), BPoly._adopt(f, ft)
-
-    def restrict_x0(self) -> UPoly:
-        """The univariate polynomial f(0, t)."""
-        f = self.field
-        deg = max((j for i, j in self.terms if i == 0), default=-1)
-        out = [f.zero] * (deg + 1)
-        for (i, j), c in self.terms.items():
-            if i == 0:
-                out[j] = c
-        return UPoly(f, out)
 
     def translate_t(self, a):
         """Substitute t -> t + a."""

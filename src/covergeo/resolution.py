@@ -138,39 +138,30 @@ def blowup_once(germ: BranchGerm) -> BlowupResult:
     returned are reduced again, so blowing them up needs no new check.
     """
     _require_reduced(normalize_branch(germ)[1])
-    m, (strict_x, branch_x, strict_t, branch_t) = _charts(germ.poly)
-    sites, _ = _sites_on_exceptional(strict_x, branch_x, strict_t, branch_t,
-                                     (False, False))
-    charts = (BlowupChart("x", strict_x, branch_x),
-              BlowupChart("t", strict_t, branch_t))
-    return BlowupResult(m, m // 2, charts, tuple(site for site, _ in sites))
-
-
-def _charts(poly: BPoly):
-    """The multiplicity m of ``poly`` at the origin, and the strict
-    transform and branch in chart "x", then in chart "t"."""
-    # The germ is reduced.  So is each branch built here: x does not divide
-    # strict_x (its restriction to x = 0 is the nonzero tangent cone), the
-    # same holds for t and strict_t, and translating or extending the field
-    # (all fields here are perfect) keeps a polynomial squarefree.
+    poly = germ.poly
     m = poly.total_valuation()
     if m < 2:
         raise ValueError("blow-up center must be a singular point (mult >= 2)")
-    fld = poly.field
+    sites, _ = _sites_on_exceptional(poly, m, (False, False))
+    charts = []
+    for name in "xt":
+        strict = _chart(poly, name, m)
+        charts.append(BlowupChart(name, strict, _chart(poly, name, m - 1) if m % 2 else strict))
+    return BlowupResult(m, m // 2, tuple(charts), tuple(site for site, _, _ in sites))
 
+
+def _chart(poly: BPoly, name: str, e: int) -> BPoly:
+    """The pull-back of ``poly`` to chart ``name`` over the e-th power of
+    the line's variable: e = m gives the strict transform, e = m - 1 at odd
+    m the branch, which adds the line once more."""
     # Chart "x" maps the monomial x^i t^j to x^(i+j) t^j and chart "t" to
-    # x^i t^(i+j); each strict transform divides that by the m-th power of the
-    # line's variable, and each branch adds the line once more at odd m.  Both
-    # maps are injective, so no two terms meet and every coefficient is one
-    # of ``poly``, nonzero: the charts adopt their dicts as built.
-    terms, adopt = poly.terms, BPoly._adopt
-    strict_x = adopt(fld, {(i + j - m, j): c for (i, j), c in terms.items()})
-    strict_t = adopt(fld, {(i, i + j - m): c for (i, j), c in terms.items()})
-    branch_x, branch_t = strict_x, strict_t
-    if m % 2:
-        branch_x = adopt(fld, {(i + j - m + 1, j): c for (i, j), c in terms.items()})
-        branch_t = adopt(fld, {(i, i + j - m + 1): c for (i, j), c in terms.items()})
-    return m, (strict_x, branch_x, strict_t, branch_t)
+    # x^i t^(i+j).  Both maps are injective, so no two terms meet and every
+    # coefficient is one of ``poly``, nonzero: the chart adopts its dict.
+    if name == "x":
+        terms = {(i + j - e, j): c for (i, j), c in poly.terms.items()}
+    else:
+        terms = {(i, i + j - e): c for (i, j), c in poly.terms.items()}
+    return BPoly._adopt(poly.field, terms)
 
 
 def _require_reduced(even_part: BranchGerm) -> None:
@@ -181,10 +172,10 @@ def _require_reduced(even_part: BranchGerm) -> None:
         )
 
 
-def _sites_on_exceptional(strict_x: BPoly, branch_x: BPoly, strict_t: BPoly,
-                          branch_t: BPoly, flags: tuple[bool, bool]):
-    """Singular points of the new branch lying on the exceptional line, each
-    with its flags, and the number of branch ends on the line.
+def _sites_on_exceptional(poly: BPoly, m: int, flags: tuple[bool, bool]):
+    """Singular points on the exceptional line of the blow-up of ``poly``
+    at the origin, where it has multiplicity m, and the number of branch
+    ends on the line.  Each site comes as (site, multiplicity, flags).
 
     Chart "x" sees every point of the line except the origin of chart "t";
     candidates are the zeros of the strict transform restricted to the line,
@@ -203,28 +194,42 @@ def _sites_on_exceptional(strict_x: BPoly, branch_x: BPoly, strict_t: BPoly,
     crossing of two of them.  A germ with a singular branch has fewer
     branches than its multiplicity, so a lower count leaves its class as it
     is.
+
+    Everything but a re-centred site is read off the terms of ``poly``, and
+    a chart is built only to re-centre a site in it.  The germ is reduced,
+    and so is each branch: x does not divide the chart "x" strict transform
+    (its restriction to x = 0 is the nonzero tangent cone), the same holds
+    for t in chart "t", and translating or extending the field (all fields
+    here are perfect) keeps a polynomial squarefree.
     """
-    fld = strict_x.field
+    fld = poly.field
+    terms = poly.terms
     on_x, on_t = flags
-    odd = branch_x.x_valuation() > 0  # the branch contains the line
-    # never empty, as x does not divide strict_x; each factor is
-    # (tau, 1, simple) at a rational point, else (factor, degree, simple)
-    line = [j for i, j in strict_x.terms if not i]
-    if len(line) == 1:
+    odd = m % 2  # the branch contains the line
+    # the strict transform on the line x = 0 of chart "x": the tangent cone,
+    # sum of c t^j over the terms c x^i t^j with i + j = m, never empty
+    cone = {j: c for (i, j), c in terms.items() if i + j == m}
+    # each factor is (tau, 1, simple) at a rational point, else
+    # (factor, degree, simple)
+    if len(cone) == 1:
         # a monomial c*t^v vanishes on the line only at tau = 0
-        factors = [(fld.zero, 1, line[0] == 1)] if line[0] else []
-    elif fld.char:
-        factors = [(fld.neg(irr.coeffs[0]) if irr.degree == 1 else irr,
-                    irr.degree, e == 1)
-                   for irr, e in u_factor(strict_x.restrict_x0())[1]]
+        (v,) = cone
+        factors = [(fld.zero, 1, v == 1)] if v else []
     else:
-        roots, cofactor = u_rational_roots(strict_x.restrict_x0())
-        factors = [(tau, 1, e == 1) for tau, e in roots]
-        if not cofactor.is_constant():
-            simple = ugcd(cofactor, cofactor.deriv()).is_constant()
-            factors.append((cofactor, cofactor.degree, simple))
-    sites: list[tuple[SingularSite, tuple[bool, bool]]] = []
+        line = UPoly._adopt(fld, [cone.get(j, fld.zero) for j in range(max(cone) + 1)])
+        if fld.char:
+            factors = [(fld.neg(irr.coeffs[0]) if irr.degree == 1 else irr,
+                        irr.degree, e == 1)
+                       for irr, e in u_factor(line)[1]]
+        else:
+            roots, cofactor = u_rational_roots(line)
+            factors = [(tau, 1, e == 1) for tau, e in roots]
+            if not cofactor.is_constant():
+                simple = ugcd(cofactor, cofactor.deriv()).is_constant()
+                factors.append((cofactor, cofactor.degree, simple))
+    sites: list[tuple[SingularSite, int, tuple[bool, bool]]] = []
     ends = 0
+    branch_x = None
     for tau, degree, simple in factors:
         old = on_t and degree == 1 and tau == fld.zero
         if simple and not odd:
@@ -232,6 +237,8 @@ def _sites_on_exceptional(strict_x: BPoly, branch_x: BPoly, strict_t: BPoly,
             if not old:
                 ends += degree
             continue
+        if branch_x is None:
+            branch_x = _chart(poly, "x", m - odd)
         if degree == 1:
             local, label = branch_x.translate_t(tau), fld.fmt(tau)
         elif not fld.char:
@@ -255,16 +262,21 @@ def _sites_on_exceptional(strict_x: BPoly, branch_x: BPoly, strict_t: BPoly,
             tau = u_roots(UPoly(big, [embed(c) for c in tau.coeffs]))[0]
             local = branch_x.map_to(big, embed).translate_t(tau)
             label = f"{big.fmt(tau)} in {big.name}"
-        if local.total_valuation() >= 2:
+        mult = local.total_valuation()
+        if mult >= 2:
             site = SingularSite("x", label, BranchGerm(local), degree)
-            sites.append((site, (True, old)))
+            sites.append((site, mult, (True, old)))
         elif not old:
             ends += degree
-    # origin of chart "t" = the one direction chart "x" misses
-    if branch_t.total_valuation() >= 2:
-        site = SingularSite("t", "0", BranchGerm(branch_t), 1)
-        sites.append((site, (on_x, True)))
-    elif strict_t.eval_origin() == fld.zero and not on_x:
+    # origin of chart "t" = the one direction chart "x" misses; there the
+    # branch x^i t^(i+j-m+odd) has multiplicity min(2i + j) - m + odd, and
+    # the strict transform x^i t^(i+j-m) meets the line iff it has no
+    # constant term, i.e. iff t^m is not a term of ``poly``
+    mult = min(2 * i + j for i, j in terms) - m + odd
+    if mult >= 2:
+        site = SingularSite("t", "0", BranchGerm(_chart(poly, "t", m - odd)), 1)
+        sites.append((site, mult, (on_x, True)))
+    elif (0, m) not in terms and not on_x:
         ends += 1
     return sites, ends
 
@@ -299,23 +311,23 @@ def canonical_resolution(germ: BranchGerm, *,
     m = b1.poly.total_valuation()
     steps: list[BlowupStep] = []
     branches = directions = 0
-    # (germ, centre, copies, flags), flags as in _sites_on_exceptional
-    stack = [(b1, "origin", 1, (False, False))] if m >= 2 else []
+    # (germ, multiplicity, centre, copies, flags), flags as in
+    # _sites_on_exceptional
+    stack = [(b1, m, "origin", 1, (False, False))] if m >= 2 else []
     while stack:
-        current, center, copies, flags = stack.pop()
+        current, mult, center, copies, flags = stack.pop()
         if len(steps) >= depth_limit:
             raise ResolutionDepthError(
                 f"resolution depth exceeded ({depth_limit} blow-ups) "
                 f"(blow-up centre: {center})"
             )
         try:
-            mult, charts = _charts(current.poly)
-            sites, ends = _sites_on_exceptional(*charts, flags)
+            sites, ends = _sites_on_exceptional(current.poly, mult, flags)
         except ExtensionDegreeError as exc:
             raise ExtensionDegreeError(f"{exc} (blow-up centre: {center})") from None
         if not steps:
             # tangent directions; at odd m every one of them is a site
-            directions = sum(site.copies for site, _ in sites)
+            directions = sum(site.copies for site, _, _ in sites)
         steps.append(BlowupStep(
             index=len(steps),
             center=center,
@@ -325,9 +337,9 @@ def canonical_resolution(germ: BranchGerm, *,
         ))
         branches += copies * ends
         # pushed in reverse, so the sites are blown up depth first in order
-        for site, site_flags in reversed(sites):
+        for site, site_mult, site_flags in reversed(sites):
             label = f"{center} -> chart {site.chart} @ {site.location}"
-            stack.append((site.germ, label, copies * site.copies, site_flags))
+            stack.append((site.germ, site_mult, label, copies * site.copies, site_flags))
     if m == 2 and branches == 2:
         negligible = NEGLIGIBLE_FIRST
     elif m == 3 and branches == 3 and directions >= 2:

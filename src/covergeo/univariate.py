@@ -378,10 +378,12 @@ def u_factor(f: UPoly) -> tuple[object, list[tuple[UPoly, int]]]:
     if field.char == 0:
         raise ValueError("finite-field factorization requested over Q")
     unit = f.leading()
-    factors: list[tuple[UPoly, int]] = []
-    for g, e in u_squarefree(f):
+    x = UPoly.var(field)
+    # x^v is read off the valuation, so Yun's loop sees only the rest
+    v = next(i for i, c in enumerate(f.coeffs) if c != field.zero)
+    factors: list[tuple[UPoly, int]] = [(x, v)] if v else []
+    for g, e in u_squarefree(UPoly._adopt(field, f.coeffs[v:])):
         # distinct-degree stage on the squarefree part g
-        x = UPoly.var(field)
         h = x
         d = 0
         rest = g

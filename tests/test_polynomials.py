@@ -1,6 +1,7 @@
 import math
 import random
 import signal
+from collections import Counter
 from fractions import Fraction
 
 import pytest
@@ -202,6 +203,51 @@ def test_factor_against_sympy(p):
         assert u_factor(f) == (int(unit) % p, expected)
 
 
+@pytest.mark.parametrize("spec", ["F3", "F5", "F7", "F3^2", "F5^2"])
+def test_factor_splits_off_the_power_of_x(spec):
+    # x^v * g with g(0) != 0 factors as g does, plus (x, v); v = p and 2p
+    # would reach the p-th-root step of Yun's loop
+    fld = parse_field_spec(spec)
+    rng = random.Random(f"x-power-{spec}")
+    x = UPoly.var(fld)
+    for _ in range(6):
+        g = _random_upoly(rng, fld, rng.randint(0, 4))
+        if rng.random() < 0.5:
+            g = g * g * _random_upoly(rng, fld, 1)
+        if g.coeffs[0] == fld.zero:
+            g = g + UPoly.constant(fld, fld.one)
+        unit, factors = u_factor(g)
+        for v in (0, 1, 2, fld.p, fld.p + 1, 2 * fld.p):
+            expected = sorted(factors + [(x, v)] if v else factors,
+                              key=lambda he: he[0].sort_key())
+            x_v = UPoly(fld, [fld.zero] * v + [fld.one])
+            assert u_factor(x_v * g) == (unit, expected), (g, v)
+
+
+def test_factor_reads_the_power_of_x_off_the_valuation(monkeypatch):
+    # Yun's loop would take one gcd per power of x
+    fld = prime_field(7)
+    calls = Counter()
+    _count_calls(monkeypatch, covergeo.univariate, "ugcd", calls)
+    counts = []
+    for v in (1, 40):
+        calls.clear()
+        unit, factors = u_factor(upoly(fld, *[0] * v, 1, 1))  # x^v * (x + 1)
+        assert (unit, factors) == (1, [(upoly(fld, 0, 1), v), (upoly(fld, 1, 1), 1)])
+        counts.append(calls["ugcd"])
+    assert counts == [1, 1]
+
+
+def _count_calls(monkeypatch, module, name, calls):
+    fn = getattr(module, name)
+
+    def counted(*args, **kwargs):
+        calls[name] += 1
+        return fn(*args, **kwargs)
+
+    monkeypatch.setattr(module, name, counted)
+
+
 @pytest.mark.parametrize("p", [0, 3, 5, 7])
 def test_squarefree_against_sympy(p):
     # products of powers of random factors of degree <= 2; over F_p the
@@ -255,7 +301,8 @@ def test_factor_over_extension_is_a_factorization(p, k):
 
 
 def test_rational_roots():
-    f = parse_polynomial("(t-2)^2*(3*t+1)*(t^2+1)", QQ).restrict_x0()
+    # (t-2)^2*(3*t+1)*(t^2+1) = 3t^5 - 11t^4 + 11t^3 - 7t^2 + 8t + 4
+    f = UPoly(QQ, [QQ.from_int(c) for c in (4, 8, -7, 11, -11, 3)])
     roots, cofactor = u_rational_roots(f)
     assert roots == [(Fraction(-1, 3), 1), (Fraction(2), 2)]
     assert cofactor.degree == 2
@@ -679,7 +726,8 @@ def test_translate_matches_eval():
     f = parse_polynomial("x^2*t + 3*t^4 + x", f5)
     shifted = f.translate_t(f5.from_int(2))
     # f(x, t+2) evaluated at t=0 equals f at t=2
-    assert shifted.restrict_x0().coeffs[:1] == (f5.from_int(3 * 16 % 5),)
+    at_x0 = UPoly(f5, [shifted.terms.get((0, j), f5.zero) for j in range(5)])
+    assert at_x0.coeffs[:1] == (f5.from_int(3 * 16 % 5),)
     assert shifted.translate_t(f5.from_int(-2)) == f
 
 

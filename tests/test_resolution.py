@@ -1,5 +1,6 @@
 import math
 import random
+import re
 import signal
 from collections import Counter
 
@@ -7,7 +8,13 @@ import pytest
 
 import covergeo.polynomials
 import covergeo.resolution
-from covergeo.fields import QQ, extension_field, prime_field
+from covergeo.fields import (
+    MAX_EXTENSION_DEGREE,
+    QQ,
+    ExtensionDegreeError,
+    extension_field,
+    prime_field,
+)
 from covergeo.parsing import parse_field_spec, parse_polynomial
 from covergeo.polynomials import (
     BPoly,
@@ -16,7 +23,10 @@ from covergeo.polynomials import (
     b_normalize,
     b_squarefree,
     extension_embedding,
+    u_factor,
+    u_rational_roots,
     u_roots,
+    ugcd,
 )
 from covergeo.resolution import (
     NEGLIGIBLE_FIRST,
@@ -114,7 +124,7 @@ def test_blowup_quartic():
     assert by_name["x"].strict.fmt() == "x - t^4"
     assert by_name["x"].branch == by_name["x"].strict  # even multiplicity
     # the other chart misses the origin entirely
-    assert by_name["t"].strict.eval_origin() != QQ.zero
+    assert (0, 0) in by_name["t"].strict.terms
     assert result.singular_sites == ()
 
 
@@ -439,7 +449,7 @@ def _random_reduced_germ(rng, fld):
             if _degree(poly) + _degree(factor) <= 8:
                 poly = poly * factor
     b1, _ = normalize_branch(BranchGerm(poly))
-    if b1.poly.eval_origin() != fld.zero or b1.poly.total_valuation() < 2:
+    if (0, 0) in b1.poly.terms or b1.poly.total_valuation() < 2:
         return None
     return b1
 
@@ -513,6 +523,126 @@ def test_blowup_charts_match_substitution(spec):
     assert parities == {0, 1}
 
 
+def _eager_sites_reference(poly, flags):
+    """The sites routine as it was before charts were built lazily: both
+    charts built by substitution, the line restriction and the parity read
+    off the chart "x" polynomials, and every site's multiplicity computed
+    from its germ.  Returns ((chart, label, copies, flags, terms,
+    multiplicity) per site, ends)."""
+    fld = poly.field
+    (strict_x, branch_x), (strict_t, branch_t) = _chart_reference(poly)
+    on_x, on_t = flags
+    odd = min(i for i, _ in branch_x.terms) > 0
+    at_x0 = {j: c for (i, j), c in strict_x.terms.items() if not i}
+    line = UPoly(fld, [at_x0.get(j, fld.zero) for j in range(max(at_x0) + 1)])
+    if len(at_x0) == 1:
+        (v,) = at_x0
+        factors = [(fld.zero, 1, v == 1)] if v else []
+    elif fld.char:
+        factors = [(fld.neg(irr.coeffs[0]) if irr.degree == 1 else irr,
+                    irr.degree, e == 1)
+                   for irr, e in u_factor(line)[1]]
+    else:
+        roots, cofactor = u_rational_roots(line)
+        factors = [(tau, 1, e == 1) for tau, e in roots]
+        if not cofactor.is_constant():
+            simple = ugcd(cofactor, cofactor.deriv()).is_constant()
+            factors.append((cofactor, cofactor.degree, simple))
+    sites, ends = [], 0
+    for tau, degree, simple in factors:
+        old = on_t and degree == 1 and tau == fld.zero
+        if simple and not odd:
+            ends += 0 if old else degree
+            continue
+        if degree == 1:
+            local, label = branch_x.translate_t(tau), fld.fmt(tau)
+        elif not fld.char:
+            raise IrrationalPointError("singular point" if odd else "multiple branch point")
+        elif fld.k * degree > MAX_EXTENSION_DEGREE:
+            raise ExtensionDegreeError(f"F{fld.p}^{fld.k * degree}")
+        else:
+            big = extension_field(fld.p, fld.k * degree)
+            embed = extension_embedding(fld, big)
+            tau = u_roots(UPoly(big, [embed(c) for c in tau.coeffs]))[0]
+            local = branch_x.map_to(big, embed).translate_t(tau)
+            label = f"{big.fmt(tau)} in {big.name}"
+        if local.total_valuation() >= 2:
+            sites.append(("x", label, degree, (True, old), local))
+        elif not old:
+            ends += degree
+    if branch_t.total_valuation() >= 2:
+        sites.append(("t", "0", 1, (on_x, True), branch_t))
+    elif strict_t.terms.get((0, 0), fld.zero) == fld.zero and not on_x:
+        ends += 1
+    return [(*site[:4], sorted(site[4].terms.items()), site[4].total_valuation())
+            for site in sites], ends
+
+
+def _exit(fn):
+    """fn()'s value, or the kind of error it raised with the kind of point
+    or the field it names."""
+    try:
+        return fn()
+    except IrrationalPointError as exc:
+        return "irrational", str(exc).split(" with ")[0]
+    except ExtensionDegreeError as exc:
+        return "extension", re.search(r"F\d+\^\d+", str(exc)).group()
+
+
+# a tangent cone irreducible of degree d, with k*d > MAX_EXTENSION_DEGREE
+# over F_{p^k}, at odd m; over Q a cone with irrational points
+_PAST_EXTENSION_BOUND = {
+    "Q": "x^3 - 2*x*t^2 + t^4",
+    "F3": "2*x^13 + x^9*t^4 + t^13",
+    "F5": "x^13 + x^7*t^6 + t^13",
+    "F7": "3*x^13 + x^11*t^2 + t^13",
+    "F3^2": "2*x^7 + x^5*t^2 + t^7",
+    "F5^2": "x^7 + x^6*t + t^7",
+}
+
+
+@pytest.mark.parametrize("spec", ["Q", "F3", "F5", "F7", "F3^2", "F5^2"])
+def test_sites_match_eager_chart_reference(spec):
+    # every fact that the sites routine reads off the germ (parity, tangent
+    # cone, chart "t" multiplicity and origin) and every chart it builds
+    # lazily agree with both charts built in full, at every node of the
+    # blow-up tree and under every pair of flags; the fixed germs add
+    # conjugate sites and both error exits
+    fld = parse_field_spec(spec)
+    rng = random.Random(f"sites-{spec}")
+    flag_pairs = [(a, b) for a in (False, True) for b in (False, True)]
+    roots = [germ(expr, spec) for expr in
+             ("t*(x^2 - 2*t^2)", "(x^2 - 2*t^2)^2 + t^5", _PAST_EXTENSION_BOUND[spec])]
+    while len(roots) < 18:
+        b1 = _random_reduced_germ(rng, fld)
+        if b1 is not None:
+            roots.append(b1)
+    parities, exits = set(), set()
+    for root in roots:
+        pending = [root.poly]
+        while pending:
+            poly = pending.pop()
+            m = poly.total_valuation()
+            parities.add(m % 2)
+            for flags in flag_pairs:
+                got = _exit(lambda: _lazy_sites(poly, m, flags))
+                assert got == _exit(lambda: _eager_sites_reference(poly, flags)), (poly.fmt(), flags)
+            if isinstance(got[0], str):
+                exits.add(got[0])
+            else:
+                sites, _ = covergeo.resolution._sites_on_exceptional(poly, m, (False, False))
+                pending.extend(site.germ.poly for site, _, _ in sites)
+    assert parities == {0, 1}
+    assert exits == ({"irrational"} if spec == "Q" else {"extension"}), exits
+
+
+def _lazy_sites(poly, m, flags):
+    sites, ends = covergeo.resolution._sites_on_exceptional(poly, m, flags)
+    return [(site.chart, site.location, site.copies, site_flags,
+             sorted(site.germ.poly.terms.items()), mult)
+            for site, mult, site_flags in sites], ends
+
+
 def _count_calls(monkeypatch, module, name, calls):
     fn = getattr(module, name)
 
@@ -521,6 +651,25 @@ def _count_calls(monkeypatch, module, name, calls):
         return fn(*args, **kwargs)
 
     monkeypatch.setattr(module, name, counted)
+
+
+def test_chain_carries_multiplicities_and_builds_only_site_charts(monkeypatch):
+    # x^2 - t^2100 takes 1,050 blow-ups, each at the chart "t" origin of
+    # the last, at multiplicity 2, until x^2 - t^2 crosses the line in
+    # chart "x": only the germ's own multiplicity is computed, and only the
+    # chart "t" of each site is built
+    calls = Counter()
+    _count_calls(monkeypatch, BPoly, "total_valuation", calls)
+    chart = covergeo.resolution._chart
+
+    def counted(poly, name, e):
+        calls[f"chart {name}"] += 1
+        return chart(poly, name, e)
+
+    monkeypatch.setattr(covergeo.resolution, "_chart", counted)
+    trace = canonical_resolution(germ("x^2 - t^2100", "F5"), depth_limit=2000)
+    assert len(trace.steps) == 1050 and trace.negligible == NEGLIGIBLE_FIRST
+    assert calls == Counter({"total_valuation": 1, "chart t": 1049})
 
 
 @pytest.mark.parametrize("spec", ["Q", "F7"])
