@@ -83,18 +83,17 @@ def normalize_branch(germ: BranchGerm) -> tuple[BranchGerm, BranchGerm]:
     return BranchGerm(one if b1 is None else b1), BranchGerm(one if b0 is None else b0)
 
 
-# name: "x" (x = x, t = x*t) or "t" (x = x*t, t = t); strict, branch: BPoly
-BlowupChart = namedtuple("BlowupChart", "name strict branch")
-
 SingularSite = namedtuple("SingularSite", [
-    "chart",
+    "chart",  # "x" (x = x, t = x*t) or "t" (x = x*t, t = t)
     "location",  # printed coordinate of the center on the exceptional line
-    "germ",  # branch re-centered at the point (field may be larger)
+    "germ",  # BPoly: branch re-centered at the point (field may be larger)
     "copies",  # number of conjugate points this representative stands for
+    "multiplicity",  # of the germ at the point, >= 2
+    "flags",  # whether x = 0 and t = 0 through the point are exceptional
 ])
 
-# charts: (chart "x", chart "t"); singular_sites: a tuple of SingularSite
-BlowupResult = namedtuple("BlowupResult", "multiplicity half charts singular_sites")
+# singular_sites: a tuple of SingularSite
+BlowupResult = namedtuple("BlowupResult", "multiplicity half singular_sites")
 
 
 class BlowupStep(namedtuple("BlowupStep", "index center multiplicity half copies")):
@@ -128,26 +127,19 @@ class ResolutionTrace(namedtuple("ResolutionTrace", [
 def blowup_once(germ: BranchGerm) -> BlowupResult:
     """Blow up the origin of a reduced branch germ of multiplicity >= 2.
 
-    Returns both standard charts (chart "x": x = x, t = x*t with exceptional
-    line x = 0; chart "t": x = x*t, t = t with exceptional line t = 0), the
-    branch of the normalized pulled-back cover in each, and the singular
-    points of that branch on the exceptional line, re-centered and ready for
-    further blow-ups.
+    Returns the multiplicity, its half and the singular points of the branch
+    of the normalized pulled-back cover on the exceptional line, re-centered
+    and ready for further blow-ups.
 
     The germ is checked to be reduced here (ValueError otherwise); the sites
     returned are reduced again, so blowing them up needs no new check.
     """
     _require_reduced(normalize_branch(germ)[1])
-    poly = germ.poly
-    m = poly.total_valuation()
+    m = germ.poly.total_valuation()
     if m < 2:
         raise ValueError("blow-up center must be a singular point (mult >= 2)")
-    sites, _ = _sites_on_exceptional(poly, m, (False, False))
-    charts = []
-    for name in "xt":
-        strict = _chart(poly, name, m)
-        charts.append(BlowupChart(name, strict, _chart(poly, name, m - 1) if m % 2 else strict))
-    return BlowupResult(m, m // 2, tuple(charts), tuple(site for site, _, _ in sites))
+    sites, _ = _sites_on_exceptional(germ.poly, m, (False, False))
+    return BlowupResult(m, m // 2, tuple(sites))
 
 
 def _chart(poly: BPoly, name: str, e: int) -> BPoly:
@@ -175,7 +167,7 @@ def _require_reduced(even_part: BranchGerm) -> None:
 def _sites_on_exceptional(poly: BPoly, m: int, flags: tuple[bool, bool]):
     """Singular points on the exceptional line of the blow-up of ``poly``
     at the origin, where it has multiplicity m, and the number of branch
-    ends on the line.  Each site comes as (site, multiplicity, flags).
+    ends on the line.  Each site comes as a SingularSite.
 
     Chart "x" sees every point of the line except the origin of chart "t";
     candidates are the zeros of the strict transform restricted to the line,
@@ -227,7 +219,7 @@ def _sites_on_exceptional(poly: BPoly, m: int, flags: tuple[bool, bool]):
             if not cofactor.is_constant():
                 simple = ugcd(cofactor, cofactor.deriv()).is_constant()
                 factors.append((cofactor, cofactor.degree, simple))
-    sites: list[tuple[SingularSite, int, tuple[bool, bool]]] = []
+    sites: list[SingularSite] = []
     ends = 0
     branch_x = None
     for tau, degree, simple in factors:
@@ -264,8 +256,7 @@ def _sites_on_exceptional(poly: BPoly, m: int, flags: tuple[bool, bool]):
             label = f"{big.fmt(tau)} in {big.name}"
         mult = local.total_valuation()
         if mult >= 2:
-            site = SingularSite("x", label, BranchGerm(local), degree)
-            sites.append((site, mult, (True, old)))
+            sites.append(SingularSite("x", label, local, degree, mult, (True, old)))
         elif not old:
             ends += degree
     # origin of chart "t" = the one direction chart "x" misses; there the
@@ -274,8 +265,7 @@ def _sites_on_exceptional(poly: BPoly, m: int, flags: tuple[bool, bool]):
     # constant term, i.e. iff t^m is not a term of ``poly``
     mult = min(2 * i + j for i, j in terms) - m + odd
     if mult >= 2:
-        site = SingularSite("t", "0", BranchGerm(_chart(poly, "t", m - odd)), 1)
-        sites.append((site, mult, (on_x, True)))
+        sites.append(SingularSite("t", "0", _chart(poly, "t", m - odd), 1, mult, (on_x, True)))
     elif (0, m) not in terms and not on_x:
         ends += 1
     return sites, ends
@@ -311,23 +301,22 @@ def canonical_resolution(germ: BranchGerm, *,
     m = b1.poly.total_valuation()
     steps: list[BlowupStep] = []
     branches = directions = 0
-    # (germ, multiplicity, centre, copies, flags), flags as in
-    # _sites_on_exceptional
-    stack = [(b1, m, "origin", 1, (False, False))] if m >= 2 else []
+    # (germ, multiplicity, centre, copies, flags), flags as in SingularSite
+    stack = [(b1.poly, m, "origin", 1, (False, False))] if m >= 2 else []
     while stack:
-        current, mult, center, copies, flags = stack.pop()
+        poly, mult, center, copies, flags = stack.pop()
         if len(steps) >= depth_limit:
             raise ResolutionDepthError(
                 f"resolution depth exceeded ({depth_limit} blow-ups) "
                 f"(blow-up centre: {center})"
             )
         try:
-            sites, ends = _sites_on_exceptional(current.poly, mult, flags)
+            sites, ends = _sites_on_exceptional(poly, mult, flags)
         except ExtensionDegreeError as exc:
             raise ExtensionDegreeError(f"{exc} (blow-up centre: {center})") from None
         if not steps:
             # tangent directions; at odd m every one of them is a site
-            directions = sum(site.copies for site, _, _ in sites)
+            directions = sum(site.copies for site in sites)
         steps.append(BlowupStep(
             index=len(steps),
             center=center,
@@ -337,9 +326,10 @@ def canonical_resolution(germ: BranchGerm, *,
         ))
         branches += copies * ends
         # pushed in reverse, so the sites are blown up depth first in order
-        for site, site_mult, site_flags in reversed(sites):
+        for site in reversed(sites):
             label = f"{center} -> chart {site.chart} @ {site.location}"
-            stack.append((site.germ, site_mult, label, copies * site.copies, site_flags))
+            stack.append((site.germ, site.multiplicity, label,
+                          copies * site.copies, site.flags))
     if m == 2 and branches == 2:
         negligible = NEGLIGIBLE_FIRST
     elif m == 3 and branches == 3 and directions >= 2:

@@ -424,11 +424,13 @@ def u_rational_roots(f: UPoly) -> tuple[list[tuple[Fraction, int]], UPoly]:
 
     Coefficients must be Fractions.  Candidates come from the classical
     divisor test on the primitive integer model F, and the test and the
-    division run on F itself: each candidate num/den is tried by exact
-    synthetic division of F by den*x - num, which succeeds exactly when it
-    is a root (by Gauss's lemma, as den*x - num is primitive), and each root
-    is divided out to exhaustion.  The cofactor goes back to Q once, at the
-    end.
+    division run on F itself: the divisors of F(0) and of the leading
+    coefficient are listed once each, and each coprime pair n, d gives the
+    candidates num/d, num = +-n, tried by exact synthetic division of F by
+    d*x - num, which succeeds exactly when it is a root (by Gauss's lemma,
+    as d*x - num is primitive); each root is divided out to exhaustion.  A
+    Fraction is built only for a root, and the cofactor goes back to Q
+    once, at the end.
     """
     field = f.field
     if field.char != 0:
@@ -445,12 +447,17 @@ def u_rational_roots(f: UPoly) -> tuple[list[tuple[Fraction, int]], UPoly]:
     g = math.gcd(*ints)
     ints = [c // g for c in ints]
     scale = Fraction(g, den)  # f / x^v = scale * F
-    for r in sorted(_rational_candidates(ints[0], ints[-1])):
-        mult = 0
-        while (q := _divide_root(ints, r.numerator, r.denominator)) is not None:
-            ints, mult, scale = q, mult + 1, scale * r.denominator
-        if mult:
-            roots.append((r, mult))
+    leads = _divisors(ints[-1])
+    for n in _divisors(ints[0]):
+        for d in leads:
+            if math.gcd(n, d) > 1:
+                continue
+            for num in (n, -n):
+                mult = 0
+                while (q := _divide_root(ints, num, d)) is not None:
+                    ints, mult, scale = q, mult + 1, scale * d
+                if mult:
+                    roots.append((Fraction(num, d), mult))
     roots.sort()
     return roots, UPoly(field, [scale * c for c in ints])
 
@@ -479,11 +486,3 @@ def _divisors(n: int) -> list[int]:
         d += 1
     return sorted(out)
 
-
-def _rational_candidates(a0: int, lead: int) -> set[Fraction]:
-    cands = set()
-    for num in _divisors(a0):
-        for den in _divisors(lead):
-            cands.add(Fraction(num, den))
-            cands.add(Fraction(-num, den))
-    return cands

@@ -802,8 +802,18 @@ def test_prime_field_kernel_matches_base_change_to_f_p2(p):
                 == BPoly(big, terms).translate_t(shift).terms)
 
 
+def _fraction_candidates(a0, lead):
+    # every +-num/den with num | a0 and den | lead, by trial division
+    def divisors(n):
+        small = [d for d in range(1, math.isqrt(abs(n)) + 1) if n % d == 0]
+        return {e for d in small for e in (d, abs(n) // d)}
+    return {Fraction(s * num, den)
+            for num in divisors(a0) for den in divisors(lead) for s in (1, -1)}
+
+
 def _fraction_rational_roots(f):
-    # the Fraction evaluation and division that u_rational_roots replaced
+    # the Fraction candidates, evaluation and division that u_rational_roots
+    # replaced
     field = f.field
     roots = []
     v = next(i for i, c in enumerate(f.coeffs) if c != 0)
@@ -814,7 +824,7 @@ def _fraction_rational_roots(f):
     ints = [int(c * den) for c in f.coeffs]
     g = math.gcd(*ints)
     ints = [c // g for c in ints]
-    for r in sorted(covergeo.univariate._rational_candidates(ints[0], ints[-1])):
+    for r in sorted(_fraction_candidates(ints[0], ints[-1])):
         mult = 0
         while True:
             val = Fraction(0)
@@ -857,6 +867,21 @@ def test_rational_roots_of_non_monic_products_match_fraction_reference():
         f = f * UPoly(QQ, [Fraction(0)] * rng.randint(0, 2) + [Fraction(1)])
         f = f.scale(Fraction(rng.choice([-1, 1]) * rng.randint(1, 9), rng.randint(1, 9)))
         assert u_rational_roots(f) == _fraction_rational_roots(f)
+
+
+def test_rational_roots_list_each_divisor_set_once(monkeypatch):
+    # (25x + 46)^4 (3x - 512)^2 (x^2 + 7), constant 8,216,167,579,648 and
+    # lead 3,515,625: each is trial-divided once, not once per divisor of
+    # the other
+    f = math.prod([UPoly(QQ, [Fraction(46), Fraction(25)])] * 4
+                  + [UPoly(QQ, [Fraction(-512), Fraction(3)])] * 2,
+                  start=UPoly(QQ, [Fraction(7), Fraction(0), Fraction(1)]))
+    want = _fraction_rational_roots(f)
+    calls = Counter()
+    _count_calls(monkeypatch, covergeo.univariate, "_divisors", calls)
+    assert u_rational_roots(f) == want
+    assert want[0] == [(Fraction(-46, 25), 4), (Fraction(512, 3), 2)]
+    assert calls == Counter({"_divisors": 2})
 
 
 def test_prime_field_operations_call_no_field_method(monkeypatch):

@@ -21,11 +21,10 @@ STEP = resolution.BlowupStep(**STEP_VALUES)
 # each record type with keyword values that pass its checks
 RECORDS = [
     (resolution.BranchGerm, dict(poly=POLY)),
-    (resolution.BlowupChart, dict(name="x", strict=POLY, branch=POLY)),
     (resolution.SingularSite,
-     dict(chart="x", location="0", germ=resolution.BranchGerm(POLY), copies=1)),
-    (resolution.BlowupResult,
-     dict(multiplicity=2, half=1, charts=(), singular_sites=())),
+     dict(chart="x", location="0", germ=POLY, copies=1, multiplicity=2,
+          flags=(True, False))),
+    (resolution.BlowupResult, dict(multiplicity=2, half=1, singular_sites=())),
     (resolution.BlowupStep, STEP_VALUES),
     (resolution.ResolutionTrace,
      dict(reduced=resolution.BranchGerm(POLY), even_part=resolution.BranchGerm(ONE),

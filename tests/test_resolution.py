@@ -116,32 +116,44 @@ def test_normalize_keeps_parts_normalized(spec):
 
 # -- single blow-up ----------------------------------------------------------
 
+def _charts(poly):
+    """(strict, branch) of charts "x" and "t" at the germ's multiplicity m:
+    the pull-back over the m-th power of the line's variable, and over the
+    (m - m % 2)-th, which adds the line once more at odd m."""
+    m = poly.total_valuation()
+    chart = covergeo.resolution._chart
+    return [(chart(poly, name, m), chart(poly, name, m - m % 2)) for name in "xt"]
+
+
 def test_blowup_quartic():
-    result = blowup_once(germ("x^5 - t^4"))
+    g = germ("x^5 - t^4")
+    result = blowup_once(g)
     assert (result.multiplicity, result.half) == (4, 2)
-    by_name = {c.name: c for c in result.charts}
+    (strict_x, branch_x), (strict_t, _) = _charts(g.poly)
     # chart with exceptional line x = 0 carries the strict transform x - t^4
-    assert by_name["x"].strict.fmt() == "x - t^4"
-    assert by_name["x"].branch == by_name["x"].strict  # even multiplicity
+    assert strict_x.fmt() == "x - t^4"
+    assert branch_x == strict_x  # even multiplicity
     # the other chart misses the origin entirely
-    assert (0, 0) in by_name["t"].strict.terms
+    assert (0, 0) in strict_t.terms
     assert result.singular_sites == ()
 
 
 def test_blowup_normal_crossing():
-    result = blowup_once(germ("x*t"))
+    g = germ("x*t")
+    result = blowup_once(g)
     assert (result.multiplicity, result.half) == (2, 1)
-    by_name = {c.name: c for c in result.charts}
-    assert by_name["x"].branch.fmt() == "t"
-    assert by_name["t"].branch.fmt() == "x"
+    (_, branch_x), (_, branch_t) = _charts(g.poly)
+    assert branch_x.fmt() == "t"
+    assert branch_t.fmt() == "x"
     assert result.singular_sites == ()  # both lines now regular and disjoint
 
 
 def test_blowup_cusp():
-    result = blowup_once(germ("x^3 - t^2"))
+    g = germ("x^3 - t^2")
+    result = blowup_once(g)
     assert (result.multiplicity, result.half) == (2, 1)
-    by_name = {c.name: c for c in result.charts}
-    assert by_name["x"].strict.fmt() == "x - t^2"
+    (strict_x, _), _ = _charts(g.poly)
+    assert strict_x.fmt() == "x - t^2"
     assert result.singular_sites == ()
 
 
@@ -462,13 +474,13 @@ def _is_reduced(poly):
     return all(e == 1 for _, e in b_squarefree(poly))
 
 
-def _walk_sites(germ_, depth):
+def _walk_sites(poly, depth):
     """Blow up the germ and every singular site above it; returns the number
     of re-centred germs seen, asserting that each is reduced."""
     assert depth < 64
     seen = 0
-    for site in blowup_once(germ_).singular_sites:
-        assert _is_reduced(site.germ.poly), (germ_.poly.fmt(), site.location)
+    for site in blowup_once(BranchGerm(poly)).singular_sites:
+        assert _is_reduced(site.germ), (poly.fmt(), site.location)
         seen += 1 + _walk_sites(site.germ, depth + 1)
     return seen
 
@@ -483,7 +495,7 @@ def test_blowups_keep_random_germs_reduced(spec):
         if b1 is None:
             continue
         assert _is_reduced(b1.poly)
-        sites += _walk_sites(b1, 0)
+        sites += _walk_sites(b1.poly, 0)
         germs += 1
     assert sites > 0
 
@@ -518,8 +530,7 @@ def test_blowup_charts_match_substitution(spec):
             continue
         germs += 1
         parities.add(b1.poly.total_valuation() % 2)
-        charts = blowup_once(b1).charts
-        assert [(c.strict, c.branch) for c in charts] == _chart_reference(b1.poly), b1.poly.fmt()
+        assert _charts(b1.poly) == _chart_reference(b1.poly), b1.poly.fmt()
     assert parities == {0, 1}
 
 
@@ -631,16 +642,16 @@ def test_sites_match_eager_chart_reference(spec):
                 exits.add(got[0])
             else:
                 sites, _ = covergeo.resolution._sites_on_exceptional(poly, m, (False, False))
-                pending.extend(site.germ.poly for site, _, _ in sites)
+                pending.extend(site.germ for site in sites)
     assert parities == {0, 1}
     assert exits == ({"irrational"} if spec == "Q" else {"extension"}), exits
 
 
 def _lazy_sites(poly, m, flags):
     sites, ends = covergeo.resolution._sites_on_exceptional(poly, m, flags)
-    return [(site.chart, site.location, site.copies, site_flags,
-             sorted(site.germ.poly.terms.items()), mult)
-            for site, mult, site_flags in sites], ends
+    return [(site.chart, site.location, site.copies, site.flags,
+             sorted(site.germ.terms.items()), site.multiplicity)
+            for site in sites], ends
 
 
 def _count_calls(monkeypatch, module, name, calls):
@@ -670,6 +681,19 @@ def test_chain_carries_multiplicities_and_builds_only_site_charts(monkeypatch):
     trace = canonical_resolution(germ("x^2 - t^2100", "F5"), depth_limit=2000)
     assert len(trace.steps) == 1050 and trace.negligible == NEGLIGIBLE_FIRST
     assert calls == Counter({"total_valuation": 1, "chart t": 1049})
+
+
+def test_chain_wraps_only_the_parts_of_its_input(monkeypatch):
+    # the walk carries bare polynomials: the two parts of normalize_branch
+    # are the only BranchGerms built, and each of the 1,049 sites of the
+    # chain is one SingularSite
+    root = germ("x^2 - t^2100", "F5")
+    calls = Counter()
+    _count_calls(monkeypatch, covergeo.resolution, "BranchGerm", calls)
+    _count_calls(monkeypatch, covergeo.resolution, "SingularSite", calls)
+    trace = canonical_resolution(root, depth_limit=2000)
+    assert len(trace.steps) == 1050
+    assert calls == Counter({"BranchGerm": 2, "SingularSite": 1049})
 
 
 @pytest.mark.parametrize("spec", ["Q", "F7"])
