@@ -1,9 +1,10 @@
 """Exact coefficient fields: the rationals and finite fields F_{p^k}, p odd.
 
-Field objects operate on plain values (``Fraction`` for Q, ``int`` in
-``[0, p)`` for F_p, and for F_{p^k} the int code sum(c_i p^i) of the
-coefficient vector in a generator g) so that values stay hashable and
-cheap.  Zero is 0 and one is 1 in every finite field, and F_p sits in
+Field objects operate on plain values (for Q an ``int`` when the value is
+integral and a ``Fraction`` only when it is not, ``int`` in ``[0, p)`` for
+F_p, and for F_{p^k} the int code sum(c_i p^i) of the coefficient vector in
+a generator g) so that values stay hashable and cheap.  Zero is 0 and one is
+1 in every field, so a zero test is a truth test, and F_p sits in
 F_{p^k} as the codes 0..p-1.  A field of order at most MAX_TABLE_ORDER
 multiplies, adds and inverts by lookups in log, antilog and Zech tables
 built once per field; a larger one computes on the base-p digits of the
@@ -130,7 +131,9 @@ def minimal_irreducible(p: int, k: int) -> tuple[int, ...]:
 
 
 class RationalField:
-    """The rationals; elements are fractions.Fraction."""
+    """The rationals; an element is an int when it is integral and a
+    fractions.Fraction when it is not.  The two mix exactly and print alike,
+    so a germ with integral coefficients and centres is resolved on ints."""
 
     char = 0
     p = 0
@@ -138,11 +141,11 @@ class RationalField:
     order = None
     name = "Q"
 
-    zero = Fraction(0)
-    one = Fraction(1)
+    zero = 0
+    one = 1
 
     # plain operator functions, one Python frame fewer per operation
-    from_int = staticmethod(Fraction)
+    from_int = staticmethod(int)
     add = staticmethod(operator.add)
     sub = staticmethod(operator.sub)
     mul = staticmethod(operator.mul)
@@ -151,13 +154,14 @@ class RationalField:
     def inv(self, a):
         if a == 0:
             raise ZeroDivisionError("inverse of zero in Q")
-        return 1 / Fraction(a)
+        q = 1 / Fraction(a)
+        return q.numerator if q.denominator == 1 else q
 
     def pow(self, a, e: int):
         return Fraction(a) ** e
 
     def fmt(self, a) -> str:
-        return str(Fraction(a))
+        return str(a)
 
     def __repr__(self):
         return "Q"

@@ -132,7 +132,7 @@ class BPoly:
     def translate_t(self, a):
         """Substitute t -> t + a."""
         f = self.field
-        if a == f.zero or not self.terms:
+        if not a or not self.terms:
             return self
         if f.char == 0:
             return BPoly(f, _q_translate_t(self.terms, a))
@@ -222,7 +222,8 @@ def _q_translate_t(terms: dict, a) -> dict:
                 v[j] += r * v[j + 1]
         for k, c in enumerate(v):
             if c:
-                out[(i, k)] = Fraction(c, den * s_pows[d - k])
+                quo, rem = divmod(c, den * s_pows[d - k])
+                out[(i, k)] = Fraction(c, den * s_pows[d - k]) if rem else quo
     return out
 
 
@@ -351,9 +352,14 @@ def int_x_list(terms: dict) -> tuple[list[list[int]], int]:
 
 
 def q_terms(xs: list[list[int]], num: int, den: int) -> dict:
-    """The terms of (num/den) * xs over Q."""
-    return {(i, j): Fraction(num * c, den)
-            for i, u in enumerate(xs) for j, c in enumerate(u) if c}
+    """The terms of (num/den) * xs over Q, each an int where it is integral."""
+    out = {}
+    for i, u in enumerate(xs):
+        for j, c in enumerate(u):
+            if c:
+                quo, rem = divmod(num * c, den)
+                out[(i, j)] = Fraction(num * c, den) if rem else quo
+    return out
 
 
 def _x_list(f: BPoly) -> list[UPoly]:

@@ -223,7 +223,7 @@ def _sites_on_exceptional(poly: BPoly, m: int, flags: tuple[bool, bool]):
     ends = 0
     branch_x = None
     for tau, degree, simple in factors:
-        old = on_t and degree == 1 and tau == fld.zero
+        old = on_t and degree == 1 and not tau
         if simple and not odd:
             # a transversal crossing of the branch: its points are regular
             if not old:

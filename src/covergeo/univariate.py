@@ -419,34 +419,35 @@ def u_roots(f: UPoly) -> list[object]:
     return roots
 
 
-def u_rational_roots(f: UPoly) -> tuple[list[tuple[Fraction, int]], UPoly]:
+def u_rational_roots(f: UPoly) -> tuple[list[tuple[int | Fraction, int]], UPoly]:
     """Rational roots with multiplicities, plus the root-free cofactor.
 
-    Coefficients must be Fractions.  Candidates come from the classical
-    divisor test on the primitive integer model F, and the test and the
-    division run on F itself: the divisors of F(0) and of the leading
-    coefficient are listed once each, and each coprime pair n, d gives the
-    candidates num/d, num = +-n, tried by exact synthetic division of F by
-    d*x - num, which succeeds exactly when it is a root (by Gauss's lemma,
-    as d*x - num is primitive); each root is divided out to exhaustion.  A
-    Fraction is built only for a root, and the cofactor goes back to Q
-    once, at the end.
+    Coefficients are Q values, ints or Fractions.  Candidates come from the
+    classical divisor test on the primitive integer model F, and the test
+    and the division run on F itself: the divisors of F(0) and of the
+    leading coefficient are listed once each, and each coprime pair n, d
+    gives the candidates num/d, num = +-n, tried by exact synthetic division
+    of F by d*x - num, which succeeds exactly when it is a root (by Gauss's
+    lemma, as d*x - num is primitive); each root is divided out to
+    exhaustion.  A root is an int when d = 1 and a Fraction otherwise, and
+    the cofactor goes back to Q once, at the end, scaled by an int when the
+    scale is integral.
     """
     field = f.field
     if field.char != 0:
         raise ValueError("rational root extraction needs coefficients in Q")
     if f.is_zero():
         raise ValueError("zero polynomial")
-    roots: list[tuple[Fraction, int]] = []
+    roots: list[tuple[int | Fraction, int]] = []
     # split off the root at 0 first
-    v = next(i for i, c in enumerate(f.coeffs) if c != 0)
+    v = next(i for i, c in enumerate(f.coeffs) if c)
     if v:
-        roots.append((Fraction(0), v))
+        roots.append((0, v))
     den = math.lcm(*(c.denominator for c in f.coeffs))
     ints = [c.numerator * (den // c.denominator) for c in f.coeffs[v:]]
     g = math.gcd(*ints)
     ints = [c // g for c in ints]
-    scale = Fraction(g, den)  # f / x^v = scale * F
+    scale = g  # f / x^v = scale/den * F
     leads = _divisors(ints[-1])
     for n in _divisors(ints[0]):
         for d in leads:
@@ -457,9 +458,12 @@ def u_rational_roots(f: UPoly) -> tuple[list[tuple[Fraction, int]], UPoly]:
                 while (q := _divide_root(ints, num, d)) is not None:
                     ints, mult, scale = q, mult + 1, scale * d
                 if mult:
-                    roots.append((Fraction(num, d), mult))
+                    roots.append((num if d == 1 else Fraction(num, d), mult))
     roots.sort()
-    return roots, UPoly(field, [scale * c for c in ints])
+    quo, rem = divmod(scale, den)
+    scale = Fraction(scale, den) if rem else quo
+    # the lead of ints stays nonzero: no trailing zeros to strip
+    return roots, UPoly._adopt(field, [scale * c for c in ints])
 
 
 def _divide_root(ints: list[int], num: int, den: int) -> list[int] | None:

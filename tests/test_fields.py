@@ -1,6 +1,8 @@
+import ast
 import random
 import time
 from fractions import Fraction
+from pathlib import Path
 
 import pytest
 
@@ -18,6 +20,8 @@ from covergeo.fields import (
 )
 from covergeo.reports import fmt_value
 from covergeo.univariate import UPoly, u_factor
+
+SRC = Path(__file__).resolve().parent.parent / "src" / "covergeo"
 
 
 def test_prime_field_validation():
@@ -223,17 +227,47 @@ def test_primes_between():
 
 
 def test_rationals_are_the_fraction_operators():
+    # a Q value is an int when it is integral and a Fraction when it is not;
+    # the operators mix the two exactly, as Fraction arithmetic does, and
+    # keep ints ints
     rng = random.Random(11)
-    values = [Fraction(rng.randint(-10**6, 10**6), rng.randint(1, 10**6))
-              for _ in range(200)]
+    values = [Fraction(rng.randint(-10**6, 10**6), rng.randint(2, 10**6))
+              for _ in range(100)]
+    values += [rng.randint(-10**6, 10**6) for _ in range(100)]
+    rng.shuffle(values)
     for a, b in zip(values, reversed(values)):
-        assert QQ.add(a, b) == a + b
-        assert QQ.sub(a, b) == a - b
-        assert QQ.mul(a, b) == a * b
-        assert QQ.neg(a) == -a
+        fa, fb = Fraction(a), Fraction(b)
+        results = QQ.add(a, b), QQ.sub(a, b), QQ.mul(a, b), QQ.neg(a)
+        assert results == (fa + fb, fa - fb, fa * fb, -fa)
+        if type(a) is int and type(b) is int:
+            assert all(type(r) is int for r in results)
     for n in (rng.randint(-10**9, 10**9) for _ in range(50)):
         value = QQ.from_int(n)
-        assert type(value) is Fraction and value == Fraction(n)
+        assert type(value) is int and value == n
+    assert (type(QQ.zero), type(QQ.one)) == (int, int)
+    assert (QQ.zero, QQ.one) == (0, 1)
+    assert type(QQ.inv(2)) is Fraction and QQ.inv(2) == Fraction(1, 2)
+    assert type(QQ.inv(Fraction(-1, 3))) is int and QQ.inv(Fraction(-1, 3)) == -3
+    assert QQ.fmt(3) == "3" and QQ.fmt(Fraction(-1, 2)) == "-1/2"
+
+
+def _true_divisions(tree):
+    return [node.lineno for node in ast.walk(tree)
+            if isinstance(node, (ast.BinOp, ast.AugAssign)) and isinstance(node.op, ast.Div)]
+
+
+def test_no_true_division_outside_the_rational_inverse():
+    # with ints as Q values, int / int would silently give a float; the one
+    # true division in covergeo is the Fraction inverse of RationalField.inv
+    found = [(path.name, line) for path in sorted(SRC.glob("*.py"))
+             for line in _true_divisions(ast.parse(path.read_text(), str(path)))]
+    tree = ast.parse((SRC / "fields.py").read_text())
+    rational = next(node for node in tree.body
+                    if isinstance(node, ast.ClassDef) and node.name == "RationalField")
+    inv = next(node for node in rational.body
+               if isinstance(node, ast.FunctionDef) and node.name == "inv")
+    allowed = [("fields.py", line) for line in _true_divisions(inv)]
+    assert len(allowed) == 1 and found == allowed
 
 
 def test_rationals_print_as_num_or_num_over_den():

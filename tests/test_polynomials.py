@@ -308,6 +308,24 @@ def test_rational_roots():
     assert cofactor.degree == 2
 
 
+def test_rational_roots_are_ints_where_integral():
+    # t^2 (t-2)^2 (3t+1) (t^2+1), and half of it: the roots 0 and 2 come back
+    # as ints and -1/3 as a Fraction, the cofactor has int coefficients when
+    # the scale is integral, and writing the coefficients as ints or as
+    # Fractions changes neither roots nor cofactor
+    ints = (0, 0, 4, 8, -7, 11, -11, 3)
+    for scale in (1, Fraction(1, 2)):
+        as_ints = UPoly(QQ, [scale * c for c in ints])
+        as_fractions = UPoly(QQ, [Fraction(scale * c) for c in ints])
+        answers = [u_rational_roots(as_ints), u_rational_roots(as_fractions)]
+        assert answers[0] == answers[1]
+        for roots, cofactor in answers:
+            assert roots == [(Fraction(-1, 3), 1), (0, 2), (2, 2)]
+            assert [type(r) for r, _ in roots] == [Fraction, int, int]
+            assert cofactor == UPoly(QQ, [scale * 3, 0, scale * 3])
+            assert all(type(c) is int for c in cofactor.coeffs) == (scale == 1)
+
+
 def test_bivariate_squarefree_examples():
     # monomial case: standard decomposition x^2 t^3 = x^2 * t^3
     f = parse_polynomial("x^2*t^3", QQ)

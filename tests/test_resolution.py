@@ -1,8 +1,10 @@
+import itertools
 import math
 import random
 import re
 import signal
 from collections import Counter
+from fractions import Fraction
 
 import pytest
 
@@ -819,6 +821,86 @@ def test_base_change_to_fp2_keeps_invariants(p):
         if i < 3:  # a conjugate pair meets conjugate points over F_p only
             assert any(s.copies == 2 for s in over_p.steps), poly.fmt()
             assert all(s.copies == 1 for s in over_p2.steps), poly.fmt()
+
+
+def _q_trace(poly):
+    # everything a resolution over Q reports, or the message of its error
+    try:
+        trace = canonical_resolution(BranchGerm(poly))
+    except IrrationalPointError as exc:
+        return str(exc)
+    return (trace.xi, trace.k2_defect, trace.negligible, trace.steps,
+            trace.reduced.poly.fmt(), trace.even_part.poly.fmt())
+
+
+def _q_value(v):
+    v = Fraction(v)
+    return v.numerator if v.denominator == 1 else v
+
+
+def test_q_units_and_coefficient_types_keep_the_trace():
+    # A constant factor is a unit: the trace of c*f, centre labels and
+    # printed parts included, is that of f.  So is the trace of f with its
+    # integral coefficients written as Fractions instead of ints.
+    rng = random.Random("q-units")
+    one = BPoly.constant(QQ, 1)
+    errors = 0
+    for _ in range(300):
+        poly = one
+        for _ in range(rng.randint(1, 3)):
+            a = _q_value(Fraction(rng.randint(-3, 3), rng.choice((1, 1, 2, 3))))
+            c = _q_value(Fraction(rng.choice((-2, -1, 1, 2, 3)), rng.choice((1, 1, 2))))
+            line = BPoly(QQ, {(1, 0): 1, (0, 1): -a})
+            poly = poly * (math.prod([line] * rng.randint(1, 3), start=one)
+                           - BPoly(QQ, {(0, rng.randint(1, 5)): c}))
+        want = _q_trace(poly)
+        errors += isinstance(want, str)
+        as_fractions = BPoly(QQ, {e: Fraction(c) for e, c in poly.terms.items()})
+        assert _q_trace(as_fractions) == want, poly.fmt()
+        for unit in (2, -3, Fraction(5, 7)):
+            assert _q_trace(poly.scale(unit)) == want, (unit, poly.fmt())
+    assert 0 < errors < 100  # irrational singular points raise alike
+
+
+def _family_product(fld, a, b, m, n, c, k, e1, e2):
+    # x^a t^b (x^m - t^n) after x -> x + c t^k, times the unit 1 + e1 x + e2 t
+    xc = BPoly(fld, {(1, 0): fld.one, (0, k): fld.from_int(c)})
+    one = BPoly.constant(fld, fld.one)
+    poly = math.prod([xc] * m, start=one) - BPoly(fld, {(0, n): fld.one})
+    poly = poly * math.prod([xc] * a, start=BPoly(fld, {(0, b): fld.one}))
+    unit = {(0, 0): fld.one, (1, 0): fld.from_int(e1), (0, 1): fld.from_int(e2)}
+    return poly * BPoly(fld, unit)
+
+
+def test_integral_q_germs_resolve_on_ints(monkeypatch):
+    # A Q value is an int when it is integral, so a germ whose reduced part
+    # and centres are integral reaches every blow-up with int coefficients.
+    # Germs with a centre such as tau = -1/2, or a reduced part scaled by
+    # 1/3, rightly carry Fractions and are left out.
+    seen = []
+    sites = covergeo.resolution._sites_on_exceptional
+
+    def spy(poly, m, flags):
+        seen.extend(poly.terms.values())
+        return sites(poly, m, flags)
+
+    monkeypatch.setattr(covergeo.resolution, "_sites_on_exceptional", spy)
+    pairs = [(m, n) for m in range(1, 8) for n in range(1, 8) if math.gcd(m, n) == 1]
+    shifts = ((0, 1), (1, 1), (2, 1), (1, 2), (3, 2))
+    units = ((0, 0), (1, 2), (3, 1))
+    kept = coefficients = 0
+    for a, b, (m, n), (c, k), (e1, e2) in itertools.product((0, 1), (0, 1), pairs,
+                                                            shifts, units):
+        seen.clear()
+        poly = _family_product(QQ, a, b, m, n, c, k, e1, e2)
+        trace = canonical_resolution(BranchGerm(poly))
+        if (any(Fraction(v).denominator > 1 for v in trace.reduced.poly.terms.values())
+                or any("/" in step.center for step in trace.steps)):
+            continue
+        kept += 1
+        coefficients += len(seen)
+        assert all(type(v) is int for v in seen), poly.fmt()
+    assert (kept, coefficients) == (1204, 84238)
 
 
 # -- invariants and properties ------------------------------------------------
